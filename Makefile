@@ -1,17 +1,21 @@
 # Build / verification entry points. `make check` is the verification gate:
-# go vet, the library panic lint (scripts/panic_lint.sh) and -race tests over
+# gofmt (any unformatted file fails it), go vet, the library panic lint (scripts/panic_lint.sh) and -race tests over
 # every package that spawns or feeds the shared worker pool — including the
 # cancellation tests, which assert that aborted solves leak no pool tokens.
 
 GO ?= go
 
-.PHONY: build test vet race check panic-lint cover bench-parallel bench-hotpath bench-obs-overhead bench-scale bench-scale-smoke bench-fleet bench-fleet-smoke bench-supervise bench-supervise-smoke bench-serve bench-serve-smoke
+.PHONY: build test fmt-check vet race check panic-lint cover bench-parallel bench-hotpath bench-obs-overhead bench-scale bench-scale-smoke bench-fleet bench-fleet-smoke bench-supervise bench-supervise-smoke bench-serve bench-serve-smoke
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# gofmt -l lists every unformatted file; any output fails the gate.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt: unformatted files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -22,11 +26,12 @@ race:
 panic-lint:
 	sh scripts/panic_lint.sh
 
-check: vet panic-lint race
+check: fmt-check vet panic-lint race
 
 # Statement-coverage floor (>=70%) for the hot-path solver packages
-# (internal/dpsched, internal/game, internal/ceopt, internal/meterstate) —
-# see DESIGN.md §10.
+# (internal/dpsched, internal/game, internal/ceopt, internal/meterstate), the
+# fleet/supervise/serve/attack layers and the shared command lifecycle
+# (internal/cli) — see DESIGN.md §10.
 cover:
 	sh scripts/cover_check.sh
 

@@ -150,7 +150,7 @@ func BenchmarkGameSolveNetMetering(b *testing.B) {
 	price := benchPrice()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := game.Solve(context.Background(), customers, price, pv, cfg, rng.New(7)); err != nil {
+		if _, err := game.Solve(context.Background(), nil, customers, price, pv, cfg, rng.New(7)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -166,7 +166,7 @@ func BenchmarkGameSolveBaseline(b *testing.B) {
 	price := benchPrice()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := game.Solve(context.Background(), customers, price, nil, cfg, nil); err != nil {
+		if _, err := game.Solve(context.Background(), nil, customers, price, nil, cfg, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -189,7 +189,7 @@ func benchmarkGameSolveParallel(b *testing.B, workers int) {
 	price := benchPrice()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := game.Solve(context.Background(), customers, price, pv, cfg, rng.New(7)); err != nil {
+		if _, err := game.Solve(context.Background(), nil, customers, price, pv, cfg, rng.New(7)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -200,7 +200,7 @@ func BenchmarkGameSolveParallel4(b *testing.B) { benchmarkGameSolveParallel(b, 4
 func BenchmarkGameSolveParallel8(b *testing.B) { benchmarkGameSolveParallel(b, 8) }
 
 // BenchmarkGameSolveWorkspace is the workspace counterpart of Parallel1: the
-// exact same 24-customer block-Jacobi solve, but through game.SolveWS with a
+// exact same 24-customer block-Jacobi solve, but through game.Solve with a
 // workspace reused across iterations — the engine's steady-state shape. The
 // contract (enforced by TestSolveWSActiveTolZeroIdentity) is bitwise-identical
 // results; the payoff measured here is allocations. Record alongside the
@@ -217,7 +217,7 @@ func BenchmarkGameSolveWorkspace(b *testing.B) {
 	ws := game.NewWorkspace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := game.SolveWS(context.Background(), ws, customers, price, pv, cfg, rng.New(7)); err != nil {
+		if _, err := game.Solve(context.Background(), ws, customers, price, pv, cfg, rng.New(7)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -239,7 +239,7 @@ func benchmarkGameSolveActiveSet(b *testing.B, tol float64) {
 	ws := game.NewWorkspace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := game.SolveWS(context.Background(), ws, customers, price, nil, cfg, nil); err != nil {
+		if _, err := game.Solve(context.Background(), ws, customers, price, nil, cfg, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -271,7 +271,7 @@ func benchmarkScaleSolve(b *testing.B, n int) {
 	ws := game.NewWorkspace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := game.SolveWS(context.Background(), ws, customers, price, pv, cfg, rng.New(7)); err != nil {
+		if _, err := game.Solve(context.Background(), ws, customers, price, pv, cfg, rng.New(7)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -548,7 +548,7 @@ func BenchmarkGameSolveParallel4Events(b *testing.B) {
 	ctx := obs.With(context.Background(), sink)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := game.Solve(ctx, customers, price, pv, cfg, rng.New(7)); err != nil {
+		if _, err := game.Solve(ctx, nil, customers, price, pv, cfg, rng.New(7)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1087,7 +1087,7 @@ func TestWriteBenchServe(t *testing.T) {
 		cmd.Process.Kill() //nolint:errcheck
 		cmd.Wait()         //nolint:errcheck
 
-		readings := float64(sessions**benchServeN*24**benchServeDays)
+		readings := float64(sessions * *benchServeN * 24 * *benchServeDays)
 		p := point{
 			Sessions:       sessions,
 			WallMS:         float64(wall.Microseconds()) / 1e3,

@@ -18,12 +18,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
+	"io"
 	"strings"
-	"syscall"
 
 	"nmdetect/internal/attack"
+	"nmdetect/internal/cli"
 	"nmdetect/internal/exitcode"
 	"nmdetect/internal/obs"
 	"nmdetect/internal/rng"
@@ -32,48 +31,37 @@ import (
 	"nmdetect/internal/timeseries"
 )
 
-func main() {
+func main() { cli.Main("nmattack", run) }
+
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("nmattack", flag.ContinueOnError)
 	var (
-		atkStr  = flag.String("attack", "zero", "manipulation: bare zero|scale|invert (window flags) or compact kind[:from-to[:value]], e.g. ramp:12-20:0.3, delay:3, false-reading:10-15:0.8")
-		from    = flag.Int("from", 16, "window start slot")
-		to      = flag.Int("to", 17, "window end slot")
-		factor  = flag.Float64("factor", 0.5, "scale factor")
-		n       = flag.Int("n", 500, "community size for the campaign trace")
-		prob    = flag.Float64("prob", 0.25, "per-slot compromise probability")
-		batchLo = flag.Int("batchlo", 5, "min meters per compromise batch")
-		batchHi = flag.Int("batchhi", 20, "max meters per compromise batch")
-		hours   = flag.Int("hours", 48, "campaign length in slots")
-		seed    = flag.Uint64("seed", 1, "campaign seed")
-		events  = flag.String("events", "", "write a JSONL run-event stream to this file")
-		pprofA  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		atkStr  = fs.String("attack", "zero", "manipulation: bare zero|scale|invert (window flags) or compact kind[:from-to[:value]], e.g. ramp:12-20:0.3, delay:3, false-reading:10-15:0.8")
+		from    = fs.Int("from", 16, "window start slot")
+		to      = fs.Int("to", 17, "window end slot")
+		factor  = fs.Float64("factor", 0.5, "scale factor")
+		n       = fs.Int("n", 500, "community size for the campaign trace")
+		prob    = fs.Float64("prob", 0.25, "per-slot compromise probability")
+		batchLo = fs.Int("batchlo", 5, "min meters per compromise batch")
+		batchHi = fs.Int("batchhi", 20, "max meters per compromise batch")
+		hours   = fs.Int("hours", 48, "campaign length in slots")
+		seed    = fs.Uint64("seed", 1, "campaign seed")
+		obsCfg  = cli.ObsFlags(fs)
 	)
-	flag.Parse()
-
-	// SIGINT and SIGTERM both stop the campaign loop at the next slot and
-	// flush the obs sinks through the deferred Shutdown — nmattack used to
-	// die mid-write on TERM, leaving truncated event streams behind.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if err := obs.Setup(obs.RunConfig{
-		Cmd: "nmattack", EventsPath: *events, PprofAddr: *pprofA,
-		CPUProfile: *cpuProf, MemProfile: *memProf, Seed: *seed,
-	}); err != nil {
-		fatal(err)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
-	defer func() {
-		if err := obs.Shutdown(); err != nil {
-			fmt.Fprintln(os.Stderr, "nmattack:", err)
-		}
-	}()
+
+	obsCfg.Cmd, obsCfg.Seed = "nmattack", *seed
+	if err := obs.Setup(*obsCfg); err != nil {
+		return err
+	}
 
 	var blk scenario.Attack
 	if strings.ContainsRune(*atkStr, ':') || *atkStr == "none" {
 		parsed, err := scenario.ParseAttack(*atkStr)
 		if err != nil {
-			fatal(exitcode.AsValidation(err))
+			return exitcode.AsValidation(err)
 		}
 		blk = parsed
 	} else {
@@ -88,7 +76,7 @@ func main() {
 	// flagger threshold it would otherwise target.
 	atk, err := blk.Build(0.5)
 	if err != nil {
-		fatal(exitcode.AsValidation(err))
+		return exitcode.AsValidation(err)
 	}
 
 	// A representative diurnal price to manipulate.
@@ -103,33 +91,34 @@ func main() {
 	}
 	price, err := form.Publish(demand, ren, *n, true, nil)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	manipulated := atk.Apply(price)
 
-	fmt.Printf("# manipulation: %s\n", atk.Name())
-	fmt.Println("slot,published,manipulated")
+	fmt.Fprintf(stdout, "# manipulation: %s\n", atk.Name())
+	fmt.Fprintln(stdout, "slot,published,manipulated")
 	for h := 0; h < 24; h++ {
-		fmt.Printf("%d,%.6f,%.6f\n", h, price[h], manipulated[h])
+		fmt.Fprintf(stdout, "%d,%.6f,%.6f\n", h, price[h], manipulated[h])
 	}
 
 	camp, err := attack.NewCampaign(*n, *prob, *batchLo, *batchHi, atk)
 	if err != nil {
-		fatal(exitcode.AsValidation(err))
+		return exitcode.AsValidation(err)
 	}
 	src := rng.New(*seed)
-	endCampaign := obs.Default().Span("attack.campaign")
-	fmt.Println("\n# campaign trace")
-	fmt.Println("hour,newly_hacked,total_hacked")
+	// SIGINT and SIGTERM stop the campaign loop at the next slot; Main then
+	// flushes the obs sinks, so the event stream is never cut mid-write.
+	defer obs.Default().Span("attack.campaign")()
+	fmt.Fprintln(stdout, "\n# campaign trace")
+	fmt.Fprintln(stdout, "hour,newly_hacked,total_hacked")
 	for t := 0; t < *hours; t++ {
 		if ctx.Err() != nil {
-			endCampaign()
-			fatal(fmt.Errorf("interrupted after %d campaign slots", t))
+			return fmt.Errorf("interrupted after %d campaign slots", t)
 		}
 		newly := camp.Step(src)
-		fmt.Printf("%d,%d,%d\n", t, newly, camp.Count())
+		fmt.Fprintf(stdout, "%d,%d,%d\n", t, newly, camp.Count())
 	}
-	endCampaign()
+	return nil
 }
 
 func dayShape(h int) float64 {
@@ -141,11 +130,4 @@ func dayShape(h int) float64 {
 	default:
 		return 0
 	}
-}
-
-func fatal(err error) {
-	// os.Exit skips deferred calls; flush profiles and the event sink here.
-	obs.Shutdown() //nolint:errcheck // already exiting on err
-	fmt.Fprintln(os.Stderr, "nmattack:", err)
-	os.Exit(exitcode.For(err))
 }

@@ -49,13 +49,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"nmdetect/internal/checkpoint"
+	"nmdetect/internal/cli"
 	"nmdetect/internal/core"
 	"nmdetect/internal/detect"
 	"nmdetect/internal/exitcode"
@@ -65,150 +65,100 @@ import (
 	"nmdetect/internal/supervise"
 )
 
-func main() {
+func main() { cli.Main("nmdetect", run) }
+
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("nmdetect", flag.ContinueOnError)
+	wf := scenario.NewFlags(fs, "n", "seed", "boot", "days", "sweeps", "workers", "jacobi", "active-tol", "shards",
+		"solver", "attack", "strike-slots", "communities", "scenario", "dump-scenario")
 	var (
-		n        = flag.Int("n", 500, "community size")
-		seed     = flag.Uint64("seed", 42, "seed")
-		days     = flag.Int("days", 2, "monitoring days")
-		sweeps   = flag.Int("sweeps", 3, "game best-response sweeps")
-		workers  = flag.Int("workers", 0, "worker budget (0 = all cores, 1 = sequential)")
-		jacobi   = flag.Int("jacobi", 0, "game block-Jacobi size (0 = sequential Gauss-Seidel)")
-		activeT  = flag.Float64("active-tol", 0, "game active-set tolerance in kW (0 = re-solve every customer every sweep)")
-		shards   = flag.Int("shards", 0, "hierarchical-solve shard count (<= 1 = flat solver, the reference semantics)")
-		boot     = flag.Int("boot", 6, "bootstrap days")
-		detector = flag.String("detector", "aware", "aware|blind")
-		atkFlag  = flag.String("attack", "", "attack payload override: kind[:from-to[:value]], e.g. zero:16-17, scale:16-19:0.5, delay:3, false-reading:10-15:0.8, adaptive, invert (ignored with -scenario)")
-		strikes  = flag.String("strike-slots", "", "coordinated strike slots, comma-separated day hours e.g. 2,8,14,20 (ignored with -scenario)")
-		solver   = flag.String("solver", "pbvi", "pbvi|qmdp|threshold")
-		noEnf    = flag.Bool("noenforce", false, "observe only, never repair")
-		comms    = flag.Int("communities", 1, "fleet width: independent communities of -n meters each (>= 2 selects the fleet path)")
-		fleetW   = flag.Int("fleet-workers", 0, "fleet-level worker budget (0 = all cores; execution-only, never affects results)")
-		fleetRep = flag.String("fleet-report", "", "also write the fleet report as JSON to this file")
-		fleetCk  = flag.String("fleet-checkpoint", "", "checkpoint directory for a fleet run (one file per community + manifest)")
-		scenRef  = flag.String("scenario", "", "scenario preset name or JSON file (overrides the world-config flags)")
-		dumpScen = flag.Bool("dump-scenario", false, "print the effective scenario spec as JSON and exit")
-		ckpt     = flag.String("checkpoint", "", "checkpoint file for the monitoring run (empty = no checkpointing)")
-		ckptK    = flag.Int("checkpoint-every", 10, "days between checkpoints")
-		resume   = flag.Bool("resume", false, "resume from an existing checkpoint instead of failing on one")
-		worker   = flag.Bool("fleet-worker", false, "run as a supervised fleet worker: drive one community batch, speak the NMW1 line protocol on stdout (used by cmd/nmfleet)")
-		batch    = flag.Int("batch", 0, "fleet-worker batch index")
-		batchSz  = flag.Int("batch-size", 0, "fleet-worker batch size (communities per worker)")
-		batchRep = flag.String("batch-report", "", "fleet-worker batch report JSON path")
-		heartBt  = flag.Duration("heartbeat", 5*time.Second, "fleet-worker heartbeat period")
-		events   = flag.String("events", "", "write a JSONL run-event stream to this file")
-		pprofA   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		detector = fs.String("detector", "aware", "aware|blind")
+		noEnf    = fs.Bool("noenforce", false, "observe only, never repair")
+		fleetW   = fs.Int("fleet-workers", 0, "fleet-level worker budget (0 = all cores; execution-only, never affects results)")
+		fleetRep = fs.String("fleet-report", "", "also write the fleet report as JSON to this file")
+		fleetCk  = fs.String("fleet-checkpoint", "", "checkpoint directory for a fleet run (one file per community + manifest)")
+		ckpt     = fs.String("checkpoint", "", "checkpoint file for the monitoring run (empty = no checkpointing)")
+		ckptK    = fs.Int("checkpoint-every", 10, "days between checkpoints")
+		resume   = fs.Bool("resume", false, "resume from an existing checkpoint instead of failing on one")
+		worker   = fs.Bool("fleet-worker", false, "run as a supervised fleet worker: drive one community batch, speak the NMW1 line protocol on stdout (used by cmd/nmfleet)")
+		batch    = fs.Int("batch", 0, "fleet-worker batch index")
+		batchSz  = fs.Int("batch-size", 0, "fleet-worker batch size (communities per worker)")
+		batchRep = fs.String("batch-report", "", "fleet-worker batch report JSON path")
+		heartBt  = fs.Duration("heartbeat", 5*time.Second, "fleet-worker heartbeat period")
+		obsCfg   = cli.ObsFlags(fs)
 	)
-	flag.Parse()
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	spec, err := wf.Spec(nil)
+	if err != nil {
+		return exitcode.AsValidation(err)
+	}
+	if wf.Dump {
+		return spec.Dump(stdout, os.Stderr)
+	}
+	// Checked before any path builds a system: the build is the expensive
+	// part of the run.
+	if *detector != fleet.DetectorAware && *detector != fleet.DetectorBlind {
+		return exitcode.AsValidation(fmt.Errorf("unknown detector %q", *detector))
+	}
 
-	spec := scenario.Default(*n, *seed)
-	spec.Horizon.BootstrapDays = *boot
-	spec.Horizon.MonitorDays = *days
-	spec.Game.Sweeps = *sweeps
-	spec.Game.Workers = *workers
-	spec.Game.JacobiBlock = *jacobi
-	spec.Game.ActiveTol = *activeT
-	spec.Game.Shards = *shards
-	spec.Detector.Solver = *solver
-	if *atkFlag != "" {
-		ab, err := scenario.ParseAttack(*atkFlag)
+	obsCfg.Cmd, obsCfg.ScenarioID, obsCfg.Seed, obsCfg.Workers = "nmdetect", spec.ID(), spec.Seed, spec.Game.Workers
+	if err := obs.Setup(*obsCfg); err != nil {
+		return err
+	}
+
+	if *worker || spec.FleetCommunities() > 1 {
+		fcfg, err := spec.FleetConfig()
 		if err != nil {
-			fatal(exitcode.AsValidation(err))
+			return err
 		}
-		spec.Attack = ab
-	}
-	if *strikes != "" {
-		ss, err := scenario.ParseStrikeSlots(*strikes)
-		if err != nil {
-			fatal(exitcode.AsValidation(err))
+		fcfg.Detector, fcfg.Enforce, fcfg.Workers = *detector, !*noEnf, *fleetW
+		fcfg.CheckpointDir, fcfg.CheckpointEvery = *fleetCk, *ckptK
+		if *worker {
+			return runFleetWorker(ctx, fcfg, *batch, *batchSz, *batchRep, *heartBt, stdout)
 		}
-		spec.Campaign.StrikeSlots = ss
-	}
-	if *comms > 1 {
-		spec.Fleet = &scenario.Fleet{Communities: *comms}
-	}
-	if *scenRef != "" {
-		var err error
-		if spec, err = scenario.Resolve(*scenRef); err != nil {
-			fatal(exitcode.AsValidation(err))
-		}
-	}
-	if err := spec.Validate(); err != nil {
-		fatal(exitcode.AsValidation(err))
-	}
-	if *dumpScen {
-		if err := spec.Save(os.Stdout); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintln(os.Stderr, spec.ID())
-		return
-	}
-
-	if err := obs.Setup(obs.RunConfig{
-		Cmd: "nmdetect", EventsPath: *events, PprofAddr: *pprofA,
-		CPUProfile: *cpuProf, MemProfile: *memProf,
-		ScenarioID: spec.ID(), Seed: spec.Seed, Workers: spec.Game.Workers,
-	}); err != nil {
-		fatal(err)
-	}
-	defer func() {
-		if err := obs.Shutdown(); err != nil {
-			fmt.Fprintln(os.Stderr, "nmdetect:", err)
-		}
-	}()
-
-	if *worker {
-		runFleetWorker(ctx, spec, *detector, !*noEnf, *fleetW, *fleetCk, *ckptK, *batch, *batchSz, *batchRep, *heartBt)
-		return
-	}
-	if spec.FleetCommunities() > 1 {
-		runFleet(ctx, spec, *detector, !*noEnf, *fleetW, *fleetRep, *fleetCk, *ckptK, *resume)
-		return
+		return runFleet(ctx, fcfg, *fleetRep, *resume, stdout)
 	}
 	if *fleetRep != "" || *fleetCk != "" {
-		fatal(exitcode.AsValidation(fmt.Errorf("-fleet-report/-fleet-checkpoint need a fleet (-communities >= 2 or a scenario fleet block)")))
+		return exitcode.AsValidation(fmt.Errorf("-fleet-report/-fleet-checkpoint need a fleet (-communities >= 2 or a scenario fleet block)"))
+	}
+	if *ckpt != "" && !*resume && checkpoint.Exists(*ckpt) {
+		return exitcode.AsValidation(fmt.Errorf("checkpoint %s already exists; pass -resume to continue it or remove it", *ckpt))
+	}
+	if *resume && *ckpt == "" {
+		return exitcode.AsValidation(fmt.Errorf("-resume requires -checkpoint"))
 	}
 
 	opts, err := spec.CoreOptions()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	fmt.Fprintln(os.Stderr, "nmdetect: building system (bootstrap + training + calibration)...")
 	sys, err := core.NewSystem(ctx, opts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "nmdetect: channel rates — aware fp=%.4f fn=%.4f; blind fp=%.4f fn=%.4f\n",
 		sys.AwareFP, sys.AwareFN, sys.BlindFP, sys.BlindFN)
 
 	kit := sys.Aware
-	if *detector == "blind" {
+	if *detector == fleet.DetectorBlind {
 		kit = sys.Blind
-	} else if *detector != "aware" {
-		fatal(exitcode.AsValidation(fmt.Errorf("unknown detector %q", *detector)))
 	}
 
 	camp, err := sys.NewCampaign()
 	if err != nil {
-		fatal(err)
-	}
-	if *ckpt != "" && !*resume && checkpoint.Exists(*ckpt) {
-		fatal(exitcode.AsValidation(fmt.Errorf("checkpoint %s already exists; pass -resume to continue it or remove it", *ckpt)))
-	}
-	if *resume && *ckpt == "" {
-		fatal(exitcode.AsValidation(fmt.Errorf("-resume requires -checkpoint")))
+		return err
 	}
 	results, err := sys.MonitorDaysCheckpointed(ctx, kit, camp, spec.Horizon.MonitorDays, !*noEnf, *ckpt, *ckptK)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	fmt.Println("slot,flagged,obs_bucket,true_bucket,true_hacked,action")
+	fmt.Fprintln(stdout, "slot,flagged,obs_bucket,true_bucket,true_hacked,action")
 	slot := 0
 	for _, day := range results {
 		for h := 0; h < 24; h++ {
@@ -216,7 +166,7 @@ func main() {
 			if day.Actions[h] == detect.ActionInspect {
 				action = "INSPECT"
 			}
-			fmt.Printf("%d,%d,%d,%d,%d,%s\n",
+			fmt.Fprintf(stdout, "%d,%d,%d,%d,%d,%s\n",
 				slot, day.Flagged[h], day.ObsBucket[h], day.TrueBucket[h], day.Trace.TrueHacked[h], action)
 			slot++
 		}
@@ -237,63 +187,32 @@ func main() {
 		kit.Name, 100*core.ObservationAccuracy(results), core.RealizedPAR(results), core.TotalInspections(results))
 	fmt.Fprintf(os.Stderr, "nmdetect: %d intrusion episodes, mean detection delay %.1f slots (-1 = never answered: %v)\n",
 		len(delays), meanDelay, delays)
+	return nil
 }
 
-// runFleet is the multi-community path: lower the spec into a fleet
-// configuration, run the shared day loop and print the per-community table
-// plus rollup.
-// fleetConfig lowers the spec plus runtime knobs into a fleet configuration
-// (shared by the full-fleet and worker paths).
-func fleetConfig(spec scenario.Spec, detector string, enforce bool, fleetWorkers int, ckptDir string, ckptEvery int) fleet.Config {
-	fcfg, err := spec.FleetConfig()
-	if err != nil {
-		fatal(err)
-	}
-	switch detector {
-	case "aware":
-		fcfg.Detector = fleet.DetectorAware
-	case "blind":
-		fcfg.Detector = fleet.DetectorBlind
-	default:
-		fatal(exitcode.AsValidation(fmt.Errorf("unknown detector %q", detector)))
-	}
-	fcfg.Enforce = enforce
-	fcfg.Workers = fleetWorkers
-	fcfg.CheckpointDir = ckptDir
-	fcfg.CheckpointEvery = ckptEvery
-	return fcfg
-}
-
-func runFleet(ctx context.Context, spec scenario.Spec, detector string, enforce bool, fleetWorkers int, reportPath, ckptDir string, ckptEvery int, resume bool) {
-	fcfg := fleetConfig(spec, detector, enforce, fleetWorkers, ckptDir, ckptEvery)
+// runFleet is the multi-community path: run the shared day loop and print
+// the per-community table plus rollup.
+func runFleet(ctx context.Context, fcfg fleet.Config, reportPath string, resume bool, stdout io.Writer) error {
+	ckptDir := fcfg.CheckpointDir
 	if resume && ckptDir == "" {
-		fatal(exitcode.AsValidation(fmt.Errorf("-resume requires -fleet-checkpoint in fleet mode")))
+		return exitcode.AsValidation(fmt.Errorf("-resume requires -fleet-checkpoint in fleet mode"))
 	}
 	if ckptDir != "" && !resume && checkpoint.Exists(fleet.ManifestPath(ckptDir)) {
-		fatal(exitcode.AsValidation(fmt.Errorf("fleet checkpoint dir %s already holds a run; pass -resume to continue it or remove it", ckptDir)))
+		return exitcode.AsValidation(fmt.Errorf("fleet checkpoint dir %s already holds a run; pass -resume to continue it or remove it", ckptDir))
 	}
 	fmt.Fprintf(os.Stderr, "nmdetect: building fleet of %d communities x %d meters = %d meters...\n",
 		fcfg.Communities, fcfg.Size, fcfg.Communities*fcfg.Size)
 	rep, err := fleet.Run(ctx, fcfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if err := rep.Render(os.Stdout); err != nil {
-		fatal(err)
+	if err := rep.Render(stdout); err != nil {
+		return err
 	}
-	if reportPath != "" {
-		f, err := os.Create(reportPath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
+	if reportPath == "" {
+		return nil
 	}
+	return cli.WriteFile(reportPath, rep.WriteJSON)
 }
 
 // runFleetWorker is the hidden -fleet-worker mode cmd/nmfleet spawns: drive
@@ -303,24 +222,23 @@ func runFleet(ctx context.Context, spec scenario.Spec, detector string, enforce 
 // owns the checkpoint directory: existing community checkpoints are resumed
 // without a -resume flag, and the fleet/batch manifests refuse a foreign or
 // re-planned directory with exit 4.
-func runFleetWorker(ctx context.Context, spec scenario.Spec, detector string, enforce bool, fleetWorkers int, ckptDir string, ckptEvery, batch, batchSize int, reportPath string, heartbeat time.Duration) {
-	if ckptDir == "" {
-		fatal(exitcode.AsValidation(fmt.Errorf("-fleet-worker requires -fleet-checkpoint")))
+func runFleetWorker(ctx context.Context, fcfg fleet.Config, batch, batchSize int, reportPath string, heartbeat time.Duration, stdout io.Writer) error {
+	if fcfg.CheckpointDir == "" {
+		return exitcode.AsValidation(fmt.Errorf("-fleet-worker requires -fleet-checkpoint"))
 	}
 	if reportPath == "" {
-		fatal(exitcode.AsValidation(fmt.Errorf("-fleet-worker requires -batch-report")))
+		return exitcode.AsValidation(fmt.Errorf("-fleet-worker requires -batch-report"))
 	}
-	fcfg := fleetConfig(spec, detector, enforce, fleetWorkers, ckptDir, ckptEvery)
 	plan, err := supervise.Plan(fcfg.Communities, batchSize)
 	if err != nil {
-		fatal(exitcode.AsValidation(err))
+		return exitcode.AsValidation(err)
 	}
 	if batch < 0 || batch >= len(plan) {
-		fatal(exitcode.AsValidation(fmt.Errorf("batch %d outside plan of %d batches", batch, len(plan))))
+		return exitcode.AsValidation(fmt.Errorf("batch %d outside plan of %d batches", batch, len(plan)))
 	}
 	b := plan[batch]
 
-	ew := supervise.NewEventWriter(os.Stdout, batch)
+	ew := supervise.NewEventWriter(stdout, batch)
 	ew.Emit(supervise.WorkerEvent{Type: supervise.EventStart})
 	// The slowest community's completed-day count, for heartbeat context.
 	var lowDay atomic.Int64
@@ -345,25 +263,15 @@ func runFleetWorker(ctx context.Context, spec scenario.Spec, detector string, en
 		lowDay.Store(int64(day)) // the fan-out barrier makes day monotone
 		ew.Emit(supervise.WorkerEvent{Type: supervise.EventDay, Community: community, Day: day})
 	})
+	if err == nil {
+		err = rep.WriteFile(reportPath)
+	}
 	if err != nil {
 		ew.Emit(supervise.WorkerEvent{Type: supervise.EventError, Msg: err.Error()})
-		fatal(err)
-	}
-	if err := rep.WriteFile(reportPath); err != nil {
-		ew.Emit(supervise.WorkerEvent{Type: supervise.EventError, Msg: err.Error()})
-		fatal(err)
+		return err
 	}
 	// done is emitted only after the report is durable on disk: a supervisor
 	// that saw done can always read the report.
 	ew.Emit(supervise.WorkerEvent{Type: supervise.EventDone})
-	if err := ew.Err(); err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	// os.Exit skips deferred calls; flush profiles and the event sink here.
-	obs.Shutdown() //nolint:errcheck // already exiting on err
-	fmt.Fprintln(os.Stderr, "nmdetect:", err)
-	os.Exit(exitcode.For(err))
+	return ew.Err()
 }

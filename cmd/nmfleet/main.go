@@ -31,15 +31,16 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 	"time"
 
+	"nmdetect/internal/cli"
 	"nmdetect/internal/exitcode"
 	"nmdetect/internal/fleet"
 	"nmdetect/internal/obs"
@@ -47,67 +48,49 @@ import (
 	"nmdetect/internal/supervise"
 )
 
-func main() {
+func main() { cli.Main("nmfleet", run) }
+
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("nmfleet", flag.ContinueOnError)
+	wf := scenario.NewFlags(fs, "n", "seed", "days", "sweeps", "boot", "solver", "scenario")
+	fs.IntVar(&wf.Communities, "communities", 2, "fleet width")
 	var (
-		n        = flag.Int("n", 500, "community size")
-		seed     = flag.Uint64("seed", 42, "seed")
-		days     = flag.Int("days", 2, "monitoring days")
-		sweeps   = flag.Int("sweeps", 3, "game best-response sweeps")
-		boot     = flag.Int("boot", 6, "bootstrap days")
-		solver   = flag.String("solver", "pbvi", "pbvi|qmdp|threshold")
-		comms    = flag.Int("communities", 2, "fleet width")
-		scenRef  = flag.String("scenario", "", "scenario preset name or JSON file (overrides the world-config flags)")
-		detector = flag.String("detector", "aware", "aware|blind")
-		noEnf    = flag.Bool("noenforce", false, "observe only, never repair")
+		detector = fs.String("detector", "aware", "aware|blind")
+		noEnf    = fs.Bool("noenforce", false, "observe only, never repair")
 
-		workdir  = flag.String("workdir", "", "working directory: scenario, manifests, checkpoints and batch reports (required)")
-		report   = flag.String("report", "", "also write the merged fleet report as JSON to this file")
-		worker   = flag.String("worker-bin", "nmdetect", "worker binary (a path, or a name resolved next to nmfleet then on PATH)")
-		innerW   = flag.Int("fleet-workers", 1, "per-worker-process fleet fan-out (1 = sequential inside each worker; the process fan-out is -procs)")
-		ckptK    = flag.Int("checkpoint-every", 10, "days between per-community checkpoints")
-		batchSz  = flag.Int("batch-size", 1, "communities per worker process")
-		procs    = flag.Int("procs", 0, "concurrent worker processes (0 = all cores)")
-		retries  = flag.Int("retries", 2, "per-batch retry budget after the first attempt")
-		backoff  = flag.Duration("backoff", 500*time.Millisecond, "base retry backoff (doubled per retry, jittered deterministically from the seed)")
-		maxBack  = flag.Duration("max-backoff", time.Minute, "retry backoff cap")
-		hbGap    = flag.Duration("heartbeat-gap", 30*time.Second, "kill a worker silent for this long (0 disables)")
-		deadline = flag.Duration("deadline", 0, "per-attempt wall-clock bound (0 disables)")
-		grace    = flag.Duration("kill-grace", 2*time.Second, "SIGTERM-to-SIGKILL escalation delay")
-		heartBt  = flag.Duration("heartbeat", 5*time.Second, "worker heartbeat period")
-		maxFail  = flag.Int("max-failed", 0, "tolerated failed batches before the run itself fails")
-		events   = flag.String("events", "", "write a JSONL run-event stream to this file")
+		workdir  = fs.String("workdir", "", "working directory: scenario, manifests, checkpoints and batch reports (required)")
+		report   = fs.String("report", "", "also write the merged fleet report as JSON to this file")
+		worker   = fs.String("worker-bin", "nmdetect", "worker binary (a path, or a name resolved next to nmfleet then on PATH)")
+		innerW   = fs.Int("fleet-workers", 1, "per-worker-process fleet fan-out (1 = sequential inside each worker; the process fan-out is -procs)")
+		ckptK    = fs.Int("checkpoint-every", 10, "days between per-community checkpoints")
+		batchSz  = fs.Int("batch-size", 1, "communities per worker process")
+		procs    = fs.Int("procs", 0, "concurrent worker processes (0 = all cores)")
+		retries  = fs.Int("retries", 2, "per-batch retry budget after the first attempt")
+		backoff  = fs.Duration("backoff", 500*time.Millisecond, "base retry backoff (doubled per retry, jittered deterministically from the seed)")
+		maxBack  = fs.Duration("max-backoff", time.Minute, "retry backoff cap")
+		hbGap    = fs.Duration("heartbeat-gap", 30*time.Second, "kill a worker silent for this long (0 disables)")
+		deadline = fs.Duration("deadline", 0, "per-attempt wall-clock bound (0 disables)")
+		grace    = fs.Duration("kill-grace", 2*time.Second, "SIGTERM-to-SIGKILL escalation delay")
+		heartBt  = fs.Duration("heartbeat", 5*time.Second, "worker heartbeat period")
+		maxFail  = fs.Int("max-failed", 0, "tolerated failed batches before the run itself fails")
+		events   = fs.String("events", "", "write a JSONL run-event stream to this file")
 	)
-	flag.Parse()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	if *workdir == "" {
-		fatal(exitcode.AsValidation(fmt.Errorf("-workdir is required")))
+		return exitcode.AsValidation(fmt.Errorf("-workdir is required"))
 	}
-
-	spec := scenario.Default(*n, *seed)
-	spec.Horizon.BootstrapDays = *boot
-	spec.Horizon.MonitorDays = *days
-	spec.Game.Sweeps = *sweeps
-	spec.Detector.Solver = *solver
-	if *comms > 1 {
-		spec.Fleet = &scenario.Fleet{Communities: *comms}
-	}
-	if *scenRef != "" {
-		var err error
-		if spec, err = scenario.Resolve(*scenRef); err != nil {
-			fatal(exitcode.AsValidation(err))
-		}
-	}
-	if err := spec.Validate(); err != nil {
-		fatal(exitcode.AsValidation(err))
+	spec, err := wf.Spec(nil)
+	if err != nil {
+		return exitcode.AsValidation(err)
 	}
 
 	// Flags override the scenario's supervise block; the block fills in only
 	// the knobs the command line left untouched.
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if sup := spec.Supervise; sup != nil {
 		if !set["batch-size"] && sup.BatchSize > 0 {
 			*batchSz = sup.BatchSize
@@ -127,26 +110,17 @@ func main() {
 		Cmd: "nmfleet", EventsPath: *events,
 		ScenarioID: spec.ID(), Seed: spec.Seed, Workers: *procs,
 	}); err != nil {
-		fatal(err)
+		return err
 	}
-	defer func() {
-		if err := obs.Shutdown(); err != nil {
-			fmt.Fprintln(os.Stderr, "nmfleet:", err)
-		}
-	}()
 
 	fcfg, err := spec.FleetConfig()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	switch *detector {
-	case "aware":
-		fcfg.Detector = fleet.DetectorAware
-	case "blind":
-		fcfg.Detector = fleet.DetectorBlind
-	default:
-		fatal(exitcode.AsValidation(fmt.Errorf("unknown detector %q", *detector)))
+	if *detector != fleet.DetectorAware && *detector != fleet.DetectorBlind {
+		return exitcode.AsValidation(fmt.Errorf("unknown detector %q", *detector))
 	}
+	fcfg.Detector = *detector
 	fcfg.Enforce = !*noEnf
 	fcfg.CheckpointDir = *workdir
 	fcfg.CheckpointEvery = *ckptK
@@ -154,21 +128,21 @@ func main() {
 	// Pin the workdir: fleet manifest (refuses a foreign directory with
 	// exit 4) and the canonical scenario file every worker runs from.
 	if err := fleet.EnsureManifest(fcfg); err != nil {
-		fatal(err)
+		return err
 	}
 	scenPath := filepath.Join(*workdir, "scenario.json")
 	if err := ensureScenario(scenPath, spec); err != nil {
-		fatal(err)
+		return err
 	}
 
 	workerBin, err := resolveWorker(*worker)
 	if err != nil {
-		fatal(exitcode.AsValidation(err))
+		return exitcode.AsValidation(err)
 	}
 
 	plan, err := supervise.Plan(fcfg.Communities, *batchSz)
 	if err != nil {
-		fatal(exitcode.AsValidation(err))
+		return exitcode.AsValidation(err)
 	}
 	fmt.Fprintf(os.Stderr, "nmfleet: %d communities x %d meters in %d batches of <= %d, worker %s\n",
 		fcfg.Communities, fcfg.Size, len(plan), *batchSz, workerBin)
@@ -209,7 +183,7 @@ func main() {
 	}
 	results, err := supervise.Run(obs.With(ctx, obs.Default()), scfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	outcomes := make([]fleet.BatchOutcome, len(results))
@@ -218,7 +192,7 @@ func main() {
 		if r.Status != supervise.StatusFailed {
 			rep, err := fleet.LoadBatchReport(batchReportPath(*workdir, r.Batch.Index))
 			if err != nil {
-				fatal(fmt.Errorf("batch %d succeeded but its report is unreadable: %w", r.Batch.Index, err))
+				return fmt.Errorf("batch %d succeeded but its report is unreadable: %w", r.Batch.Index, err)
 			}
 			o.Report = rep
 		} else {
@@ -229,27 +203,20 @@ func main() {
 	}
 	merged, err := fleet.MergeReports(fcfg, outcomes)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if err := merged.Render(os.Stdout); err != nil {
-		fatal(err)
+	if err := merged.Render(stdout); err != nil {
+		return err
 	}
 	if *report != "" {
-		f, err := os.Create(*report)
-		if err != nil {
-			fatal(err)
-		}
-		if err := merged.WriteJSON(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
+		if err := cli.WriteFile(*report, merged.WriteJSON); err != nil {
+			return err
 		}
 	}
 	if failed := supervise.Failed(results); failed > *maxFail {
-		fatal(fmt.Errorf("%d batches failed, budget -max-failed=%d", failed, *maxFail))
+		return fmt.Errorf("%d batches failed, budget -max-failed=%d", failed, *maxFail)
 	}
+	return nil
 }
 
 func batchReportPath(dir string, b int) string {
@@ -267,34 +234,10 @@ func ensureScenario(path string, spec scenario.Spec) error {
 				path, existing.ID(), spec.ID()))
 		}
 		return nil
-	} else if !os.IsNotExist(err) && !errorsIsNotExist(err) {
+	} else if !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := spec.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// errorsIsNotExist unwraps scenario.LoadFile's wrapping around the open
-// error.
-func errorsIsNotExist(err error) bool {
-	for err != nil {
-		if os.IsNotExist(err) {
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
+	return cli.WriteFile(path, spec.Save)
 }
 
 // resolveWorker locates the worker binary: an explicit path is used as
@@ -318,10 +261,4 @@ func resolveWorker(name string) (string, error) {
 		return "", fmt.Errorf("worker binary %q not found next to nmfleet or on PATH: %w", name, err)
 	}
 	return path, nil
-}
-
-func fatal(err error) {
-	obs.Shutdown() //nolint:errcheck // already exiting on err
-	fmt.Fprintln(os.Stderr, "nmfleet:", err)
-	os.Exit(exitcode.For(err))
 }

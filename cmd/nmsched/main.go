@@ -17,11 +17,11 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
 	"strconv"
-	"syscall"
 
+	"nmdetect/internal/cli"
 	"nmdetect/internal/exitcode"
 	"nmdetect/internal/game"
 	"nmdetect/internal/household"
@@ -32,47 +32,42 @@ import (
 	"nmdetect/internal/timeseries"
 )
 
-func main() {
-	var (
-		specPath  = flag.String("spec", "", "household spec JSON (required)")
-		pricePath = flag.String("price", "", "price CSV 'slot,price' (default: built-in TOU shape)")
-		pvScale   = flag.Float64("pv-scale", 1.0, "clear-sky PV scale for the day")
-		seed      = flag.Uint64("seed", 1, "controller seed")
-		events    = flag.String("events", "", "write a JSONL run-event stream to this file")
-		pprofA    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
-	flag.Parse()
+func main() { cli.Main("nmsched", run) }
 
-	if err := obs.Setup(obs.RunConfig{
-		Cmd: "nmsched", EventsPath: *events, PprofAddr: *pprofA,
-		CPUProfile: *cpuProf, MemProfile: *memProf, Seed: *seed, Workers: 1,
-	}); err != nil {
-		fatal(err)
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("nmsched", flag.ContinueOnError)
+	var (
+		specPath  = fs.String("spec", "", "household spec JSON (required)")
+		pricePath = fs.String("price", "", "price CSV 'slot,price' (default: built-in TOU shape)")
+		pvScale   = fs.Float64("pv-scale", 1.0, "clear-sky PV scale for the day")
+		seed      = fs.Uint64("seed", 1, "controller seed")
+		obsCfg    = cli.ObsFlags(fs)
+	)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
-	defer func() {
-		if err := obs.Shutdown(); err != nil {
-			fmt.Fprintln(os.Stderr, "nmsched:", err)
-		}
-	}()
+
+	obsCfg.Cmd, obsCfg.Seed, obsCfg.Workers = "nmsched", *seed, 1
+	if err := obs.Setup(*obsCfg); err != nil {
+		return err
+	}
 
 	if *specPath == "" {
-		fatal(exitcode.AsValidation(fmt.Errorf("-spec is required")))
+		return exitcode.AsValidation(fmt.Errorf("-spec is required"))
 	}
 	f, err := os.Open(*specPath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	customer, err := household.ParseSpec(f, 0)
 	f.Close()
 	if err != nil {
-		fatal(exitcode.AsValidation(err))
+		return exitcode.AsValidation(err)
 	}
 
 	price, err := loadPrice(*pricePath)
 	if err != nil {
-		fatal(exitcode.AsValidation(err))
+		return exitcode.AsValidation(err)
 	}
 
 	// Realize the household's PV for a clear day at the requested scale.
@@ -88,7 +83,7 @@ func main() {
 
 	q, err := tariff.NewQuadratic(1.5)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	cfg := game.DefaultConfig(q, customer.HasPV())
 	cfg.MaxSweeps = 3
@@ -98,24 +93,23 @@ func main() {
 		src = rng.New(*seed)
 		pvIn = [][]float64{pv}
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	res, err := game.Solve(ctx, []*household.Customer{customer}, price, pvIn, cfg, src)
+	res, err := game.Solve(ctx, nil, []*household.Customer{customer}, price, pvIn, cfg, src)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	fmt.Println("slot,price,pv_kw,consumption_kw,net_flow_kw,battery_kwh")
+	fmt.Fprintln(stdout, "slot,price,pv_kw,consumption_kw,net_flow_kw,battery_kwh")
 	for h := 0; h < 24; h++ {
 		batt := 0.0
 		if res.BatteryTraj[0] != nil {
 			batt = res.BatteryTraj[0][h]
 		}
-		fmt.Printf("%d,%.5f,%.3f,%.3f,%.3f,%.3f\n",
+		fmt.Fprintf(stdout, "%d,%.5f,%.3f,%.3f,%.3f,%.3f\n",
 			h, price[h], pv[h], res.CustomerLoad[0][h], res.CustomerTrading[0][h], batt)
 	}
 	fmt.Fprintf(os.Stderr, "nmsched: daily cost %.4f; consumption %.2f kWh; PV %.2f kWh\n",
 		res.Cost[0], res.Load.Sum(), timeseries.Series(pv).Sum())
+	return nil
 }
 
 // loadPrice reads a "slot,price" CSV (header optional) or returns the
@@ -164,11 +158,4 @@ func loadPrice(path string) (timeseries.Series, error) {
 		return nil, fmt.Errorf("nmsched: price covers %d slots, want 24", filled)
 	}
 	return price, nil
-}
-
-func fatal(err error) {
-	// os.Exit skips deferred calls; flush profiles and the event sink here.
-	obs.Shutdown() //nolint:errcheck // already exiting on err
-	fmt.Fprintln(os.Stderr, "nmsched:", err)
-	os.Exit(exitcode.For(err))
 }

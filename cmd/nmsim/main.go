@@ -45,14 +45,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
 
 	"nmdetect/internal/attack"
 	"nmdetect/internal/checkpoint"
+	"nmdetect/internal/cli"
 	"nmdetect/internal/community"
 	"nmdetect/internal/exitcode"
 	"nmdetect/internal/fleet"
@@ -70,213 +70,165 @@ type simState struct {
 	Rows        []traceio.Row
 }
 
-func main() {
+func main() { cli.Main("nmsim", run) }
+
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("nmsim", flag.ContinueOnError)
+	wf := scenario.NewFlags(fs, "n", "seed", "sweeps", "workers", "jacobi", "active-tol", "shards",
+		"communities", "scenario", "dump-scenario")
 	var (
-		n        = flag.Int("n", 500, "community size")
-		seed     = flag.Uint64("seed", 42, "simulation seed")
-		days     = flag.Int("days", 7, "days to simulate")
-		sweeps   = flag.Int("sweeps", 3, "game best-response sweeps")
-		workers  = flag.Int("workers", 0, "worker budget (0 = all cores, 1 = sequential)")
-		jacobi   = flag.Int("jacobi", 0, "game block-Jacobi size (0 = sequential Gauss-Seidel)")
-		activeT  = flag.Float64("active-tol", 0, "game active-set tolerance in kW (0 = re-solve every customer every sweep)")
-		shards   = flag.Int("shards", 0, "hierarchical-solve shard count (<= 1 = flat solver, the reference semantics)")
-		noNM     = flag.Bool("nonm", false, "disable net metering in the world model")
-		atkStr   = flag.String("attack", "none", "attack on the final day: a kind (zero|scale|ramp|load-shift|invert|none) windowed by -from/-to/-factor, or the compact form kind[:from-to[:value]] (delay:3, false-reading:10-15:0.8, adaptive:16-19:0.9)")
-		from     = flag.Int("from", 16, "attack window start slot")
-		to       = flag.Int("to", 17, "attack window end slot")
-		factor   = flag.Float64("factor", 0.5, "scale attack factor")
-		comms    = flag.Int("communities", 1, "fleet width: independent communities of -n meters each (>= 2 selects the fleet path)")
-		fleetW   = flag.Int("fleet-workers", 0, "fleet-level worker budget (0 = all cores; execution-only, never affects results)")
-		out      = flag.String("o", "", "write the trace to this file instead of stdout")
-		histFile = flag.String("history", "", "also write the forecaster-training history CSV here")
-		scenRef  = flag.String("scenario", "", "scenario preset name or JSON file (overrides the world-config flags)")
-		dumpScen = flag.Bool("dump-scenario", false, "print the effective scenario spec as JSON and exit")
-		ckpt     = flag.String("checkpoint", "", "checkpoint file for the simulation (empty = no checkpointing)")
-		ckptK    = flag.Int("checkpoint-every", 10, "days between checkpoints")
-		resume   = flag.Bool("resume", false, "resume from an existing checkpoint instead of failing on one")
-		events   = flag.String("events", "", "write a JSONL run-event stream to this file")
-		pprofA   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		days     = fs.Int("days", 7, "days to simulate")
+		noNM     = fs.Bool("nonm", false, "disable net metering in the world model")
+		atkStr   = fs.String("attack", "none", "attack on the final day: a kind (zero|scale|ramp|load-shift|invert|none) windowed by -from/-to/-factor, or the compact form kind[:from-to[:value]] (delay:3, false-reading:10-15:0.8, adaptive:16-19:0.9)")
+		from     = fs.Int("from", 16, "attack window start slot")
+		to       = fs.Int("to", 17, "attack window end slot")
+		factor   = fs.Float64("factor", 0.5, "scale attack factor")
+		fleetW   = fs.Int("fleet-workers", 0, "fleet-level worker budget (0 = all cores; execution-only, never affects results)")
+		out      = fs.String("o", "", "write the trace to this file instead of stdout")
+		histFile = fs.String("history", "", "also write the forecaster-training history CSV here")
+		ckpt     = fs.String("checkpoint", "", "checkpoint file for the simulation (empty = no checkpointing)")
+		ckptK    = fs.Int("checkpoint-every", 10, "days between checkpoints")
+		resume   = fs.Bool("resume", false, "resume from an existing checkpoint instead of failing on one")
+		obsCfg   = cli.ObsFlags(fs)
 	)
-	flag.Parse()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	// Flag-built spec: nmsim's -attack none means "no campaign at all",
-	// which the spec expresses as attack kind "none" (identity payload).
-	spec := scenario.Default(*n, *seed)
-	spec.Horizon.SimDays = *days
-	spec.Game.Sweeps = *sweeps
-	spec.Game.Workers = *workers
-	spec.Game.JacobiBlock = *jacobi
-	spec.Game.ActiveTol = *activeT
-	spec.Game.Shards = *shards
-	if strings.ContainsRune(*atkStr, ':') {
-		ab, err := scenario.ParseAttack(*atkStr)
-		if err != nil {
-			fatal(exitcode.AsValidation(err))
-		}
-		spec.Attack = ab
-	} else {
-		spec.Attack = scenario.Attack{Kind: *atkStr, From: *from, To: *to, Factor: *factor}
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
-	if *comms > 1 {
-		spec.Fleet = &scenario.Fleet{Communities: *comms}
+
+	// nmsim's -days is SimDays, and its -attack none means "no campaign at
+	// all", which the spec expresses as attack kind "none" (identity payload).
+	spec, err := wf.Spec(func(s *scenario.Spec) error {
+		s.Horizon.SimDays = *days
+		if !strings.ContainsRune(*atkStr, ':') {
+			s.Attack = scenario.Attack{Kind: *atkStr, From: *from, To: *to, Factor: *factor}
+			return nil
+		}
+		ab, err := scenario.ParseAttack(*atkStr)
+		s.Attack = ab
+		return err
+	})
+	if err != nil {
+		return exitcode.AsValidation(err)
+	}
+	if wf.Dump {
+		return spec.Dump(stdout, os.Stderr)
 	}
 	campaignWanted := spec.Attack.Kind != "none"
-	if *scenRef != "" {
-		var err error
-		if spec, err = scenario.Resolve(*scenRef); err != nil {
-			fatal(exitcode.AsValidation(err))
-		}
-		campaignWanted = spec.Attack.Kind != "none"
-	}
-	if err := spec.Validate(); err != nil {
-		fatal(exitcode.AsValidation(err))
-	}
-	if *dumpScen {
-		if err := spec.Save(os.Stdout); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintln(os.Stderr, spec.ID())
-		return
+
+	obsCfg.Cmd, obsCfg.ScenarioID, obsCfg.Seed, obsCfg.Workers = "nmsim", spec.ID(), spec.Seed, spec.Game.Workers
+	if err := obs.Setup(*obsCfg); err != nil {
+		return err
 	}
 
-	if err := obs.Setup(obs.RunConfig{
-		Cmd: "nmsim", EventsPath: *events, PprofAddr: *pprofA,
-		CPUProfile: *cpuProf, MemProfile: *memProf,
-		ScenarioID: spec.ID(), Seed: spec.Seed, Workers: spec.Game.Workers,
-	}); err != nil {
-		fatal(err)
-	}
-	defer func() {
-		if err := obs.Shutdown(); err != nil {
-			fmt.Fprintln(os.Stderr, "nmsim:", err)
-		}
-	}()
-
-	netMeteringFleet := !*noNM
+	netMetering := !*noNM
 	if spec.FleetCommunities() > 1 {
 		if campaignWanted || *ckpt != "" || *resume || *histFile != "" {
-			fatal(exitcode.AsValidation(fmt.Errorf("fleet mode (-communities >= 2) simulates clean open-loop days; -attack, -checkpoint, -resume and -history need a single community")))
+			return exitcode.AsValidation(fmt.Errorf("fleet mode (-communities >= 2) simulates clean open-loop days; -attack, -checkpoint, -resume and -history need a single community"))
 		}
-		runFleetSim(ctx, spec, netMeteringFleet, *fleetW, *out)
-		return
+		return runFleetSim(ctx, spec, netMetering, *fleetW, *out, stdout)
 	}
 
 	engine, err := spec.NewEngine()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	netMetering := !*noNM
 	simDays := spec.Horizon.SimDays
 	if *ckptK < 1 {
 		*ckptK = 1
 	}
 	if *resume && *ckpt == "" {
-		fatal(exitcode.AsValidation(fmt.Errorf("-resume requires -checkpoint")))
+		return exitcode.AsValidation(fmt.Errorf("-resume requires -checkpoint"))
 	}
 	startDay := 0
 	var rows []traceio.Row
 	if *ckpt != "" && checkpoint.Exists(*ckpt) {
 		if !*resume {
-			fatal(exitcode.AsValidation(fmt.Errorf("checkpoint %s already exists; pass -resume to continue it or remove it", *ckpt)))
+			return exitcode.AsValidation(fmt.Errorf("checkpoint %s already exists; pass -resume to continue it or remove it", *ckpt))
 		}
 		var st simState
 		if err := checkpoint.Load(*ckpt, "sim-run", &st); err != nil {
-			fatal(err)
+			return err
 		}
 		if st.NetMetering != netMetering {
-			fatal(fmt.Errorf("checkpoint was taken with net metering %v, resuming with %v: %w", st.NetMetering, netMetering, checkpoint.ErrIncompatible))
+			return fmt.Errorf("checkpoint was taken with net metering %v, resuming with %v: %w", st.NetMetering, netMetering, checkpoint.ErrIncompatible)
 		}
 		if st.Completed > simDays {
-			fatal(fmt.Errorf("checkpoint already holds %d days, requested only %d", st.Completed, simDays))
+			return fmt.Errorf("checkpoint already holds %d days, requested only %d", st.Completed, simDays)
 		}
 		if err := engine.RestoreState(st.Engine); err != nil {
-			fatal(err)
+			return err
 		}
 		startDay, rows = st.Completed, st.Rows
 		fmt.Fprintf(os.Stderr, "nmsim: resumed at day %d\n", startDay)
 	}
-	save := func(completed int) {
-		st := simState{Completed: completed, NetMetering: netMetering, Engine: engine.State(), Rows: rows}
-		if err := checkpoint.Save(*ckpt, "sim-run", &st); err != nil {
-			fatal(err)
-		}
-	}
 	for d := startDay; d < simDays; d++ {
 		env, err := engine.PrepareDay(ctx, netMetering)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		var camp *attack.Campaign
 		if campaignWanted && d == simDays-1 {
 			atk, err := spec.BuildAttack()
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			camp, err = attack.NewCampaign(spec.N, 0, 1, 1, atk)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			camp.HackNow(spec.N, rng.New(spec.Seed).Derive("nmsim-attack"))
 		}
 		trace, err := engine.SimulateDay(ctx, env, camp, netMetering, nil)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		for h := 0; h < 24; h++ {
-			rows = append(rows, traceio.Row{
-				Day:        d,
-				Slot:       h,
-				Price:      env.Published[h],
-				Renewable:  env.Renewable[h],
-				Load:       trace.Load[h],
-				GridDemand: trace.GridDemand[h],
-				Hacked:     trace.TrueHacked[h],
-			})
-		}
+		rows = appendDay(rows, d, env, trace)
 		if *ckpt != "" && ((d+1)%*ckptK == 0 || d+1 == simDays) {
-			save(d + 1)
+			st := simState{Completed: d + 1, NetMetering: netMetering, Engine: engine.State(), Rows: rows}
+			if err := checkpoint.Save(*ckpt, "sim-run", &st); err != nil {
+				return err
+			}
 		}
 	}
 
-	dst := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		dst = f
+	writeTrace := func(w io.Writer) error { return traceio.WriteTrace(w, rows) }
+	if *out == "" {
+		err = writeTrace(stdout)
+	} else {
+		err = cli.WriteFile(*out, writeTrace)
 	}
-	if err := traceio.WriteTrace(dst, rows); err != nil {
-		fatal(err)
+	if err != nil || *histFile == "" {
+		return err
 	}
-	if *histFile != "" {
-		f, err := os.Create(*histFile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := traceio.WriteHistory(f, engine.History()); err != nil {
-			fatal(err)
-		}
+	return cli.WriteFile(*histFile, func(w io.Writer) error { return traceio.WriteHistory(w, engine.History()) })
+}
+
+// appendDay appends one simulated day's 24 trace rows.
+func appendDay(rows []traceio.Row, d int, env *community.DayEnvironment, trace *community.DayTrace) []traceio.Row {
+	for h := 0; h < 24; h++ {
+		rows = append(rows, traceio.Row{
+			Day:        d,
+			Slot:       h,
+			Price:      env.Published[h],
+			Renewable:  env.Renewable[h],
+			Load:       trace.Load[h],
+			GridDemand: trace.GridDemand[h],
+			Hacked:     trace.TrueHacked[h],
+		})
 	}
+	return rows
 }
 
 // runFleetSim drives a fleet of engines through the shared open-loop day
 // loop and writes one trace per community.
-func runFleetSim(ctx context.Context, spec scenario.Spec, netMetering bool, workers int, out string) {
+func runFleetSim(ctx context.Context, spec scenario.Spec, netMetering bool, workers int, out string, stdout io.Writer) error {
 	f := spec.FleetCommunities()
 	engines := make([]*community.Engine, f)
 	for i := range engines {
 		eng, err := spec.CommunitySpec(i).NewEngine()
 		if err != nil {
-			fatal(fmt.Errorf("community %d: %w", i, err))
+			return fmt.Errorf("community %d: %w", i, err)
 		}
 		engines[i] = eng
 	}
@@ -284,47 +236,29 @@ func runFleetSim(ctx context.Context, spec scenario.Spec, netMetering bool, work
 	for d := 0; d < spec.Horizon.SimDays; d++ {
 		res, err := fleet.SimDay(ctx, workers, engines, netMetering)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		for i, r := range res {
-			for h := 0; h < 24; h++ {
-				rows[i] = append(rows[i], traceio.Row{
-					Day:        d,
-					Slot:       h,
-					Price:      r.Env.Published[h],
-					Renewable:  r.Env.Renewable[h],
-					Load:       r.Trace.Load[h],
-					GridDemand: r.Trace.GridDemand[h],
-					Hacked:     r.Trace.TrueHacked[h],
-				})
-			}
+			rows[i] = appendDay(rows[i], d, r.Env, r.Trace)
 		}
 	}
 	if out == "" {
 		for i := range rows {
-			fmt.Printf("# community %03d seed=%d\n", i, fleet.CommunitySeed(spec.Seed, i))
-			if err := traceio.WriteTrace(os.Stdout, rows[i]); err != nil {
-				fatal(err)
+			fmt.Fprintf(stdout, "# community %03d seed=%d\n", i, fleet.CommunitySeed(spec.Seed, i))
+			if err := traceio.WriteTrace(stdout, rows[i]); err != nil {
+				return err
 			}
 		}
-		return
+		return nil
 	}
 	for i := range rows {
-		path := communityOut(out, i)
-		fh, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		if err := traceio.WriteTrace(fh, rows[i]); err != nil {
-			fh.Close()
-			fatal(err)
-		}
-		if err := fh.Close(); err != nil {
-			fatal(err)
+		if err := cli.WriteFile(communityOut(out, i), func(w io.Writer) error { return traceio.WriteTrace(w, rows[i]) }); err != nil {
+			return err
 		}
 	}
 	fmt.Fprintf(os.Stderr, "nmsim: wrote %d community traces (%s .. %s)\n",
 		f, communityOut(out, 0), communityOut(out, f-1))
+	return nil
 }
 
 // communityOut inserts the community index before the extension:
@@ -332,11 +266,4 @@ func runFleetSim(ctx context.Context, spec scenario.Spec, netMetering bool, work
 func communityOut(out string, i int) string {
 	ext := filepath.Ext(out)
 	return fmt.Sprintf("%s.c%03d%s", strings.TrimSuffix(out, ext), i, ext)
-}
-
-func fatal(err error) {
-	// os.Exit skips deferred calls; flush profiles and the event sink here.
-	obs.Shutdown() //nolint:errcheck // already exiting on err
-	fmt.Fprintln(os.Stderr, "nmsim:", err)
-	os.Exit(exitcode.For(err))
 }

@@ -63,7 +63,7 @@ func main() {
 			pvIn = pv
 			gsrc = rng.New(99)
 		}
-		res, err := game.Solve(ctx, customers, price, pvIn, cfg, gsrc)
+		res, err := game.Solve(ctx, nil, customers, price, pvIn, cfg, gsrc)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -455,7 +455,7 @@ func (e *Engine) SimulateDay(ctx context.Context, env *DayEnvironment, camp *att
 			if netMetering {
 				src = rng.New(e.ControllerSeed())
 			}
-			res, err := game.SolveWS(ctx, ws, e.customers, price, pv, cfg, src)
+			res, err := game.Solve(ctx, ws, e.customers, price, pv, cfg, src)
 			if err != nil {
 				return err
 			}

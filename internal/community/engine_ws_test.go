@@ -31,7 +31,7 @@ func TestEngineWorkspaceReuseMatchesFreshSolve(t *testing.T) {
 
 		// Reference solve with a brand-new workspace and the engine's exact
 		// inputs (same controller seed, config, price, PV).
-		ref, err := game.Solve(ctx, e.Customers(), env.Published, env.PV, e.GameConfig(true), rng.New(e.ControllerSeed()))
+		ref, err := game.Solve(ctx, nil, e.Customers(), env.Published, env.PV, e.GameConfig(true), rng.New(e.ControllerSeed()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,6 +21,7 @@ package exitcode
 
 import (
 	"errors"
+	"flag"
 
 	"nmdetect/internal/checkpoint"
 )
@@ -57,13 +58,14 @@ func AsValidation(err error) error {
 	return validationError{err: err}
 }
 
-// For maps an error to its exit code: nil is OK, checkpoint.ErrIncompatible
+// For maps an error to its exit code: nil and flag.ErrHelp (the user asked
+// for -h) are OK, checkpoint.ErrIncompatible
 // (at any depth) is ResumeIncompatible, AsValidation-wrapped errors are
 // Validation, and everything else is Runtime. Incompatibility wins over
 // validation so a refused resume is never mistaken for a flag typo.
 func For(err error) int {
 	switch {
-	case err == nil:
+	case err == nil, errors.Is(err, flag.ErrHelp):
 		return OK
 	case errors.Is(err, checkpoint.ErrIncompatible):
 		return ResumeIncompatible

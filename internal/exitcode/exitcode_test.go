@@ -2,6 +2,7 @@ package exitcode
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"testing"
 
@@ -16,6 +17,7 @@ func TestFor(t *testing.T) {
 		want int
 	}{
 		{"nil", nil, OK},
+		{"help", flag.ErrHelp, OK},
 		{"plain runtime", base, Runtime},
 		{"validation", AsValidation(base), Validation},
 		{"wrapped validation", fmt.Errorf("cmd: %w", AsValidation(base)), Validation},

@@ -268,7 +268,7 @@ func AblationSellBack(ctx context.Context, cfg Config, ws []float64) ([]SellBack
 		}
 		gcfg := game.DefaultConfig(q, true)
 		gcfg.MaxSweeps = base.GameSweeps
-		res, err := game.Solve(ctx, engine.Customers(), env.Published, env.PV, gcfg, rng.New(engine.ControllerSeed()))
+		res, err := game.Solve(ctx, nil, engine.Customers(), env.Published, env.PV, gcfg, rng.New(engine.ControllerSeed()))
 		if err != nil {
 			return nil, err
 		}
@@ -495,7 +495,7 @@ func AblationBattery(ctx context.Context, cfg Config) ([]BatteryAblationRow, err
 			}
 			customers = stripped
 		}
-		res, err := game.Solve(ctx, customers, env.Published, env.PV, gcfg, rng.New(engine.ControllerSeed()))
+		res, err := game.Solve(ctx, nil, customers, env.Published, env.PV, gcfg, rng.New(engine.ControllerSeed()))
 		if err != nil {
 			return BatteryAblationRow{}, err
 		}
@@ -582,7 +582,7 @@ func Mitigation(ctx context.Context, cfg Config) (*MitigationResult, error) {
 
 	gcfg := engine.GameConfig(true)
 	solve := func(price []float64) (float64, error) {
-		res, err := game.Solve(ctx, engine.Customers(), price, env.PV, gcfg, rng.New(engine.ControllerSeed()))
+		res, err := game.Solve(ctx, nil, engine.Customers(), price, env.PV, gcfg, rng.New(engine.ControllerSeed()))
 		if err != nil {
 			return 0, err
 		}

@@ -57,7 +57,7 @@ func TestSolveWSActiveTolZeroIdentity(t *testing.T) {
 
 	for _, block := range []int{0, 8} {
 		cfg.JacobiBlock = block
-		legacy, err := Solve(nil, customers, price, pv, cfg, rng.New(7))
+		legacy, err := Solve(nil, nil, customers, price, pv, cfg, rng.New(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestSolveWSActiveTolZeroIdentity(t *testing.T) {
 
 		ws := NewWorkspace()
 		for trial := 0; trial < 3; trial++ {
-			got, err := SolveWS(nil, ws, customers, price, pv, cfg, rng.New(7))
+			got, err := Solve(nil, ws, customers, price, pv, cfg, rng.New(7))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestActiveSetEquilibriumInvariance(t *testing.T) {
 			prices[i] = price
 		}
 
-		legacy, err := Solve(nil, customers, price, pv, cfg, rng.New(seed))
+		legacy, err := Solve(nil, nil, customers, price, pv, cfg, rng.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestActiveSetEquilibriumInvariance(t *testing.T) {
 		for _, tol := range []float64{1e-9, 1e-6} {
 			acfg := cfg
 			acfg.ActiveTol = tol
-			res, err := Solve(nil, customers, price, pv, acfg, rng.New(seed))
+			res, err := Solve(nil, nil, customers, price, pv, acfg, rng.New(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +170,7 @@ func TestActiveSetSkipsAndDeterminism(t *testing.T) {
 	sink := obs.NewSink(&buf)
 	ctx := obs.With(context.Background(), sink)
 
-	a, err := SolveWS(ctx, NewWorkspace(), customers, price, nil, cfg, nil)
+	a, err := Solve(ctx, NewWorkspace(), customers, price, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestActiveSetSkipsAndDeterminism(t *testing.T) {
 		t.Fatalf("gate never re-solved a customer (counters %v)", counters)
 	}
 
-	b, err := SolveWS(nil, NewWorkspace(), customers, price, nil, cfg, nil)
+	b, err := Solve(nil, NewWorkspace(), customers, price, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestGreedyFillRejectsOverfullAppliance(t *testing.T) {
 		BaseLoad: base,
 	}
 	cfg := DefaultConfig(testTariff(t), false)
-	_, err := Solve(nil, []*household.Customer{c}, variedPrice(), nil, cfg, nil)
+	_, err := Solve(nil, nil, []*household.Customer{c}, variedPrice(), nil, cfg, nil)
 	if err == nil {
 		t.Fatal("Solve accepted an appliance whose energy cannot fit its window")
 	}

@@ -35,7 +35,7 @@ func TestSolvePreCancelled(t *testing.T) {
 	cfg.MaxSweeps = 2
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Solve(ctx, customers, flatPrice(0.1), nil, cfg, nil); !errors.Is(err, context.Canceled) {
+	if _, err := Solve(ctx, nil, customers, flatPrice(0.1), nil, cfg, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if out := parallel.Outstanding(); out != 0 {
@@ -51,7 +51,7 @@ func TestSolveCancelledMidSweepAbortsPromptly(t *testing.T) {
 	// only a fraction of that budget: the solve must abort inside the first
 	// sweep, well before the budget a completed run needs.
 	probe := &countingCtx{limit: 1 << 60}
-	if _, err := Solve(probe, customers, variedPrice(), pv, cfg, rng.New(7)); err != nil {
+	if _, err := Solve(probe, nil, customers, variedPrice(), pv, cfg, rng.New(7)); err != nil {
 		t.Fatal(err)
 	}
 	full := probe.polls.Load()
@@ -60,7 +60,7 @@ func TestSolveCancelledMidSweepAbortsPromptly(t *testing.T) {
 	}
 
 	ctx := &countingCtx{limit: full / int64(cfg.MaxSweeps) / 2}
-	_, err := Solve(ctx, customers, variedPrice(), pv, cfg, rng.New(7))
+	_, err := Solve(ctx, nil, customers, variedPrice(), pv, cfg, rng.New(7))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -77,7 +77,7 @@ func TestSolveCancelledParallelNoLeak(t *testing.T) {
 	cfg.Workers = 4
 	cfg.JacobiBlock = 8
 	ctx := &countingCtx{limit: 20}
-	if _, err := Solve(ctx, customers, variedPrice(), pv, cfg, rng.New(7)); !errors.Is(err, context.Canceled) {
+	if _, err := Solve(ctx, nil, customers, variedPrice(), pv, cfg, rng.New(7)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if out := parallel.Outstanding(); out != 0 {
@@ -89,7 +89,7 @@ func TestNilContextNeverCancels(t *testing.T) {
 	customers := smallCommunity(t)
 	cfg := DefaultConfig(testTariff(t), false)
 	cfg.MaxSweeps = 1
-	if _, err := Solve(nil, customers, flatPrice(0.1), nil, cfg, nil); err != nil {
+	if _, err := Solve(nil, nil, customers, flatPrice(0.1), nil, cfg, nil); err != nil {
 		t.Fatalf("nil ctx solve failed: %v", err)
 	}
 }

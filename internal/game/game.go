@@ -242,7 +242,7 @@ type custWorkspace struct {
 	solved     bool      // whether lastYOther/residual are populated
 }
 
-// Workspace holds per-customer solver scratch that SolveWS/SolveMixedWS reuse
+// Workspace holds per-customer solver scratch that Solve reuses
 // across calls — across sweeps within a solve and across solves (e.g. the
 // per-day simulation loop). Reuse changes nothing about results: a Result
 // fully owns its memory (loads, trading, trajectories are freshly allocated),
@@ -298,21 +298,16 @@ func (w *Workspace) invalidate() {
 // Solve runs Algorithm 1. price is the guideline price over the horizon
 // (len == H ≥ 24); pv[n] is customer n's renewable forecast θₙ (ignored when
 // net metering is disabled; may be nil then). The source drives CE sampling
-// and must not be nil when net metering is enabled.
+// and must not be nil when net metering is enabled. ws is the reusable
+// solver workspace (see Workspace for the reuse contract); nil means a fresh
+// one.
 //
 // The context is polled at best-response granularity (every Gauss-Seidel
 // customer / Jacobi block, and inside each CE iteration): cancelling it
 // aborts the solve well within one sweep and returns ctx.Err(). A nil ctx
 // never cancels, and cancellation never alters the result of a solve that
 // completes.
-func Solve(ctx context.Context, customers []*household.Customer, price timeseries.Series, pv [][]float64, cfg Config, src *rng.Source) (*Result, error) {
-	return SolveWS(ctx, nil, customers, price, pv, cfg, src)
-}
-
-// SolveWS is Solve with a reusable solver workspace. A nil workspace is
-// equivalent to a fresh one (and to Solve). See Workspace for the reuse
-// contract.
-func SolveWS(ctx context.Context, ws *Workspace, customers []*household.Customer, price timeseries.Series, pv [][]float64, cfg Config, src *rng.Source) (*Result, error) {
+func Solve(ctx context.Context, ws *Workspace, customers []*household.Customer, price timeseries.Series, pv [][]float64, cfg Config, src *rng.Source) (*Result, error) {
 	if len(customers) == 0 {
 		return nil, errors.New("game: empty community")
 	}
@@ -320,21 +315,16 @@ func SolveWS(ctx context.Context, ws *Workspace, customers []*household.Customer
 	for i := range prices {
 		prices[i] = price
 	}
-	return SolveMixedWS(ctx, ws, customers, prices, pv, cfg, src)
+	return solveMixed(ctx, ws, customers, prices, pv, cfg, src)
 }
 
-// SolveMixed runs Algorithm 1 with per-customer guideline prices — the
+// solveMixed runs Algorithm 1 with per-customer guideline prices — the
 // situation under a pricing cyberattack, where hacked meters receive a
 // manipulated price while intact meters receive the published one. Each
 // customer best-responds to their own price; all interact through the shared
-// community trading total. Cancellation semantics match Solve.
-func SolveMixed(ctx context.Context, customers []*household.Customer, prices []timeseries.Series, pv [][]float64, cfg Config, src *rng.Source) (*Result, error) {
-	return SolveMixedWS(ctx, nil, customers, prices, pv, cfg, src)
-}
-
-// SolveMixedWS is SolveMixed with a reusable solver workspace. A nil
-// workspace is equivalent to a fresh one.
-func SolveMixedWS(ctx context.Context, ws *Workspace, customers []*household.Customer, prices []timeseries.Series, pv [][]float64, cfg Config, src *rng.Source) (*Result, error) {
+// community trading total. It is the core Solve and each shard of the
+// hierarchical solve run; workspace and cancellation semantics match Solve.
+func solveMixed(ctx context.Context, ws *Workspace, customers []*household.Customer, prices []timeseries.Series, pv [][]float64, cfg Config, src *rng.Source) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -75,7 +75,7 @@ func middayPV(kw float64) []float64 {
 func TestSolveWithoutNetMetering(t *testing.T) {
 	customers := smallCommunity(t)
 	cfg := DefaultConfig(testTariff(t), false)
-	res, err := Solve(context.Background(), customers, flatPrice(0.1), nil, cfg, nil)
+	res, err := Solve(context.Background(), nil, customers, flatPrice(0.1), nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestSolveSpreadsLoadUnderQuadraticPricing(t *testing.T) {
 	// lower than a naive earliest-slot placement.
 	customers := smallCommunity(t)
 	cfg := DefaultConfig(testTariff(t), false)
-	res, err := Solve(context.Background(), customers, flatPrice(0.1), nil, cfg, nil)
+	res, err := Solve(context.Background(), nil, customers, flatPrice(0.1), nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestSolveAvoidsExpensiveSlots(t *testing.T) {
 		price[h] = 5.0
 	}
 	cfg := DefaultConfig(testTariff(t), false)
-	res, err := Solve(context.Background(), customers, price, nil, cfg, nil)
+	res, err := Solve(context.Background(), nil, customers, price, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestSolveNetMeteringUsesSolar(t *testing.T) {
 	customers := smallCommunity(t)
 	pv := [][]float64{middayPV(4), make([]float64, 24), middayPV(3)}
 	cfg := DefaultConfig(testTariff(t), true)
-	res, err := Solve(context.Background(), customers, flatPrice(0.1), pv, cfg, rng.New(42))
+	res, err := Solve(context.Background(), nil, customers, flatPrice(0.1), pv, cfg, rng.New(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +174,11 @@ func TestSolveNetMeteringLowersCosts(t *testing.T) {
 	pv := [][]float64{middayPV(4), make([]float64, 24), middayPV(3)}
 	q := testTariff(t)
 
-	noNM, err := Solve(context.Background(), customers, flatPrice(0.1), nil, DefaultConfig(q, false), nil)
+	noNM, err := Solve(context.Background(), nil, customers, flatPrice(0.1), nil, DefaultConfig(q, false), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withNM, err := Solve(context.Background(), customers, flatPrice(0.1), pv, DefaultConfig(q, true), rng.New(42))
+	withNM, err := Solve(context.Background(), nil, customers, flatPrice(0.1), pv, DefaultConfig(q, true), rng.New(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestSolveBatteryTrajectoryValid(t *testing.T) {
 	customers := smallCommunity(t)
 	pv := [][]float64{middayPV(4), make([]float64, 24), middayPV(3)}
 	cfg := DefaultConfig(testTariff(t), true)
-	res, err := Solve(context.Background(), customers, flatPrice(0.1), pv, cfg, rng.New(42))
+	res, err := Solve(context.Background(), nil, customers, flatPrice(0.1), pv, cfg, rng.New(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestSolveTradingConsistentWithEqn1(t *testing.T) {
 	customers := smallCommunity(t)
 	pv := [][]float64{middayPV(4), make([]float64, 24), middayPV(3)}
 	cfg := DefaultConfig(testTariff(t), true)
-	res, err := Solve(context.Background(), customers, flatPrice(0.1), pv, cfg, rng.New(42))
+	res, err := Solve(context.Background(), nil, customers, flatPrice(0.1), pv, cfg, rng.New(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,11 +246,11 @@ func TestSolveDeterministic(t *testing.T) {
 	customers := smallCommunity(t)
 	pv := [][]float64{middayPV(4), make([]float64, 24), middayPV(3)}
 	cfg := DefaultConfig(testTariff(t), true)
-	a, err := Solve(context.Background(), customers, flatPrice(0.1), pv, cfg, rng.New(9))
+	a, err := Solve(context.Background(), nil, customers, flatPrice(0.1), pv, cfg, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(context.Background(), customers, flatPrice(0.1), pv, cfg, rng.New(9))
+	b, err := Solve(context.Background(), nil, customers, flatPrice(0.1), pv, cfg, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,22 +264,22 @@ func TestSolveDeterministic(t *testing.T) {
 func TestSolveInputValidation(t *testing.T) {
 	customers := smallCommunity(t)
 	cfg := DefaultConfig(testTariff(t), false)
-	if _, err := Solve(context.Background(), nil, flatPrice(0.1), nil, cfg, nil); err == nil {
+	if _, err := Solve(context.Background(), nil, nil, flatPrice(0.1), nil, cfg, nil); err == nil {
 		t.Error("empty community accepted")
 	}
-	if _, err := Solve(context.Background(), customers, flatPrice(0.1)[:12], nil, cfg, nil); err == nil {
+	if _, err := Solve(context.Background(), nil, customers, flatPrice(0.1)[:12], nil, cfg, nil); err == nil {
 		t.Error("short horizon accepted")
 	}
 	nmCfg := DefaultConfig(testTariff(t), true)
-	if _, err := Solve(context.Background(), customers, flatPrice(0.1), [][]float64{{1}}, nmCfg, rng.New(1)); err == nil {
+	if _, err := Solve(context.Background(), nil, customers, flatPrice(0.1), [][]float64{{1}}, nmCfg, rng.New(1)); err == nil {
 		t.Error("bad pv shape accepted")
 	}
-	if _, err := Solve(context.Background(), customers, flatPrice(0.1), [][]float64{middayPV(1), middayPV(1), middayPV(1)}, nmCfg, nil); err == nil {
+	if _, err := Solve(context.Background(), nil, customers, flatPrice(0.1), [][]float64{middayPV(1), middayPV(1), middayPV(1)}, nmCfg, nil); err == nil {
 		t.Error("nil source accepted with net metering")
 	}
 	bad := cfg
 	bad.MaxSweeps = 0
-	if _, err := Solve(context.Background(), customers, flatPrice(0.1), nil, bad, nil); err == nil {
+	if _, err := Solve(context.Background(), nil, customers, flatPrice(0.1), nil, bad, nil); err == nil {
 		t.Error("invalid config accepted")
 	}
 }
@@ -288,7 +288,7 @@ func TestSolveConvergesOnSmallCommunity(t *testing.T) {
 	customers := smallCommunity(t)
 	cfg := DefaultConfig(testTariff(t), false)
 	cfg.MaxSweeps = 10
-	res, err := Solve(context.Background(), customers, flatPrice(0.1), nil, cfg, nil)
+	res, err := Solve(context.Background(), nil, customers, flatPrice(0.1), nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestSolveMixedAttackedMeterFollowsItsOwnPrice(t *testing.T) {
 	hacked[20], hacked[21] = 0, 0
 	prices := []timeseries.Series{published, hacked, published}
 	cfg := DefaultConfig(testTariff(t), false)
-	res, err := SolveMixed(context.Background(), customers, prices, nil, cfg, nil)
+	res, err := solveMixed(context.Background(), nil, customers, prices, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,13 +320,13 @@ func TestSolveMixedAttackedMeterFollowsItsOwnPrice(t *testing.T) {
 func TestSolveMixedValidation(t *testing.T) {
 	customers := smallCommunity(t)
 	cfg := DefaultConfig(testTariff(t), false)
-	if _, err := SolveMixed(context.Background(), customers, []timeseries.Series{flatPrice(0.1)}, nil, cfg, nil); err == nil {
+	if _, err := solveMixed(context.Background(), nil, customers, []timeseries.Series{flatPrice(0.1)}, nil, cfg, nil); err == nil {
 		t.Error("wrong price count accepted")
 	}
 	ragged := []timeseries.Series{flatPrice(0.1), flatPrice(0.1)[:12], flatPrice(0.1)}
 	ragged[1] = append(ragged[1], make(timeseries.Series, 12)...)
 	ragged[1] = ragged[1][:20]
-	if _, err := SolveMixed(context.Background(), customers, ragged, nil, cfg, nil); err == nil {
+	if _, err := solveMixed(context.Background(), nil, customers, ragged, nil, cfg, nil); err == nil {
 		t.Error("ragged prices accepted")
 	}
 }
@@ -351,7 +351,7 @@ func TestSolveRespectsBatteryRateLimits(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(testTariff(t), true)
-	res, err := Solve(context.Background(), []*household.Customer{c}, flatPrice(0.1), [][]float64{middayPV(4)}, cfg, rng.New(5))
+	res, err := Solve(context.Background(), nil, []*household.Customer{c}, flatPrice(0.1), [][]float64{middayPV(4)}, cfg, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestEquilibriumGapSmallAfterConvergence(t *testing.T) {
 	cfg := DefaultConfig(testTariff(t), false)
 	cfg.MaxSweeps = 10
 	price := flatPrice(0.1)
-	res, err := Solve(context.Background(), customers, price, nil, cfg, nil)
+	res, err := Solve(context.Background(), nil, customers, price, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestEquilibriumGapDetectsUnconverged(t *testing.T) {
 	cfg := DefaultConfig(testTariff(t), false)
 	cfg.MaxSweeps = 1
 	price := flatPrice(0.1)
-	res, err := Solve(context.Background(), customers, price, nil, cfg, nil)
+	res, err := Solve(context.Background(), nil, customers, price, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestEquilibriumGapValidation(t *testing.T) {
 	customers := smallCommunity(t)
 	cfg := DefaultConfig(testTariff(t), false)
 	price := flatPrice(0.1)
-	res, err := Solve(context.Background(), customers, price, nil, cfg, nil)
+	res, err := Solve(context.Background(), nil, customers, price, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestSolveCustomerLoadNonNegative(t *testing.T) {
 	customers := smallCommunity(t)
 	pv := [][]float64{middayPV(4), make([]float64, 24), middayPV(3)}
 	cfg := DefaultConfig(testTariff(t), true)
-	res, err := Solve(context.Background(), customers, flatPrice(0.1), pv, cfg, rng.New(3))
+	res, err := Solve(context.Background(), nil, customers, flatPrice(0.1), pv, cfg, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ type Range struct{ Start, End int }
 // shards is clamped to [1, n]; n must be positive.
 func ShardPlan(n, shards int) []Range {
 	if n < 1 {
-		panic(fmt.Sprintf("game: shard plan for %d customers", n)) // lint:allow-panic — unreachable: SolveMixedWS validates len(customers) > 1 before routing here
+		panic(fmt.Sprintf("game: shard plan for %d customers", n)) // lint:allow-panic — unreachable: solveMixed validates len(customers) > 1 before routing here
 	}
 	if shards < 1 {
 		shards = 1
@@ -154,7 +154,7 @@ func solveHierarchical(ctx context.Context, ws *Workspace, customers []*househol
 			if src != nil {
 				ssrc = src.Derive(fmt.Sprintf("hier-%d-%d", sweep, s))
 			}
-			sub, err := SolveMixedWS(ctx, children[s], customers[r.Start:r.End], prices[r.Start:r.End], spv, scfg, ssrc)
+			sub, err := solveMixed(ctx, children[s], customers[r.Start:r.End], prices[r.Start:r.End], spv, scfg, ssrc)
 			if err != nil {
 				return fmt.Errorf("game: shard %d (customers %d..%d): %w", s, r.Start, r.End-1, err)
 			}

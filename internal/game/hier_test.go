@@ -64,7 +64,7 @@ func TestSolveShardsLE1Identity(t *testing.T) {
 	customers, pv, cfg := jacobiCommunity(t)
 	price := variedPrice()
 
-	legacy, err := Solve(context.Background(), customers, price, pv, cfg, rng.New(7))
+	legacy, err := Solve(context.Background(), nil, customers, price, pv, cfg, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestSolveShardsLE1Identity(t *testing.T) {
 	for _, shards := range []int{0, 1} {
 		scfg := cfg
 		scfg.Shards = shards
-		got, err := Solve(context.Background(), customers, price, pv, scfg, rng.New(7))
+		got, err := Solve(context.Background(), nil, customers, price, pv, scfg, rng.New(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestSolveHierarchicalDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		scfg := cfg
 		scfg.Workers = workers
-		got, err := Solve(context.Background(), customers, price, pv, scfg, rng.New(7))
+		got, err := Solve(context.Background(), nil, customers, price, pv, scfg, rng.New(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestSolveHierarchicalResultShape(t *testing.T) {
 	cfg.Shards = 3
 	cfg.OuterSweeps = 2
 
-	res, err := Solve(context.Background(), customers, price, pv, cfg, rng.New(7))
+	res, err := Solve(context.Background(), nil, customers, price, pv, cfg, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestSolveHierarchicalResultShape(t *testing.T) {
 		}
 	}
 
-	again, err := Solve(context.Background(), customers, price, pv, cfg, rng.New(7))
+	again, err := Solve(context.Background(), nil, customers, price, pv, cfg, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,14 +166,14 @@ func TestSolveHierarchicalWorkspaceReuse(t *testing.T) {
 	cfg.Shards = 4
 	cfg.ActiveTol = 0.05 // exercise the per-shard active-set state too
 
-	fresh, err := Solve(context.Background(), customers, price, pv, cfg, rng.New(7))
+	fresh, err := Solve(context.Background(), nil, customers, price, pv, cfg, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := gobBytes(t, fresh)
 	ws := NewWorkspace()
 	for trial := 0; trial < 3; trial++ {
-		got, err := SolveWS(context.Background(), ws, customers, price, pv, cfg, rng.New(7))
+		got, err := Solve(context.Background(), ws, customers, price, pv, cfg, rng.New(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func TestSolveHierarchicalNoNetMetering(t *testing.T) {
 	cfg.NetMetering = false
 	cfg.Shards = 3
 
-	res, err := Solve(context.Background(), customers, price, nil, cfg, nil)
+	res, err := Solve(context.Background(), nil, customers, price, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestExternalYValidation(t *testing.T) {
 
 	bad := cfg
 	bad.ExternalY = make([]float64, 7)
-	if _, err := Solve(context.Background(), customers, price, pv, bad, rng.New(7)); err == nil ||
+	if _, err := Solve(context.Background(), nil, customers, price, pv, bad, rng.New(7)); err == nil ||
 		!strings.Contains(err.Error(), "external") {
 		t.Fatalf("short ExternalY: err = %v, want external-aggregate length error", err)
 	}
@@ -237,7 +237,7 @@ func TestExternalYCouples(t *testing.T) {
 	customers, pv, cfg := jacobiCommunity(t)
 	price := variedPrice()
 
-	base, err := Solve(context.Background(), customers, price, pv, cfg, rng.New(7))
+	base, err := Solve(context.Background(), nil, customers, price, pv, cfg, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestExternalYCouples(t *testing.T) {
 	for t2 := range ext.ExternalY {
 		ext.ExternalY[t2] = 500
 	}
-	crowded, err := Solve(context.Background(), customers, price, pv, ext, rng.New(7))
+	crowded, err := Solve(context.Background(), nil, customers, price, pv, ext, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestSolveHierarchicalObsCounters(t *testing.T) {
 	var buf bytes.Buffer
 	sink := obs.NewSink(&buf)
 	ctx := obs.With(context.Background(), sink)
-	if _, err := Solve(ctx, customers, price, pv, cfg, rng.New(7)); err != nil {
+	if _, err := Solve(ctx, nil, customers, price, pv, cfg, rng.New(7)); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Close(); err != nil {

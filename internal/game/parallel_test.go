@@ -76,14 +76,14 @@ func TestSolveWorkers1MatchesLegacySequential(t *testing.T) {
 	// Gauss-Seidel solver, here represented by the zero-valued knobs.
 	customers, pv, cfg := jacobiCommunity(t)
 	price := variedPrice()
-	legacy, err := Solve(context.Background(), customers, price, pv, cfg, rng.New(7))
+	legacy, err := Solve(context.Background(), nil, customers, price, pv, cfg, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	seq := cfg
 	seq.Workers = 1
 	seq.JacobiBlock = 1
-	got, err := Solve(context.Background(), customers, price, pv, seq, rng.New(7))
+	got, err := Solve(context.Background(), nil, customers, price, pv, seq, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestSolveJacobiBitwiseAcrossWorkerCounts(t *testing.T) {
 	solveWith := func(workers int) *Result {
 		c := cfg
 		c.Workers = workers
-		res, err := Solve(context.Background(), customers, price, pv, c, rng.New(7))
+		res, err := Solve(context.Background(), nil, customers, price, pv, c, rng.New(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestEquilibriumGapJacobiBounded(t *testing.T) {
 	cfg := DefaultConfig(testTariff(t), false)
 	cfg.MaxSweeps = 10
 	cfg.JacobiBlock = 2
-	res, err := Solve(context.Background(), customers, price, nil, cfg, nil)
+	res, err := Solve(context.Background(), nil, customers, price, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestEquilibriumGapJacobiBounded(t *testing.T) {
 	// bounded, which is exactly why the gap is the Jacobi-mode certificate.
 	pure := cfg
 	pure.JacobiBlock = len(customers)
-	pureRes, err := Solve(context.Background(), customers, price, nil, pure, nil)
+	pureRes, err := Solve(context.Background(), nil, customers, price, nil, pure, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestEquilibriumGapRejectsMalformedResult(t *testing.T) {
 	cfg := DefaultConfig(testTariff(t), false)
 	price := flatPrice(0.1)
 	prices := []timeseries.Series{price, price, price}
-	res, err := Solve(context.Background(), customers, price, nil, cfg, nil)
+	res, err := Solve(context.Background(), nil, customers, price, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,12 +204,12 @@ func TestSolveConfigValidatesParallelKnobs(t *testing.T) {
 	customers := smallCommunity(t)
 	cfg := DefaultConfig(testTariff(t), false)
 	cfg.Workers = -1
-	if _, err := Solve(context.Background(), customers, flatPrice(0.1), nil, cfg, nil); err == nil {
+	if _, err := Solve(context.Background(), nil, customers, flatPrice(0.1), nil, cfg, nil); err == nil {
 		t.Error("negative Workers accepted")
 	}
 	cfg = DefaultConfig(testTariff(t), false)
 	cfg.JacobiBlock = -2
-	if _, err := Solve(context.Background(), customers, flatPrice(0.1), nil, cfg, nil); err == nil {
+	if _, err := Solve(context.Background(), nil, customers, flatPrice(0.1), nil, cfg, nil); err == nil {
 		t.Error("negative JacobiBlock accepted")
 	}
 }

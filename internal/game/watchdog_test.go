@@ -25,7 +25,7 @@ func TestSolveDivergesOnNaNPrice(t *testing.T) {
 	price := flatPrice(0.1)
 	price[18] = math.NaN()
 	pv := [][]float64{middayPV(4), make([]float64, 24), middayPV(3)}
-	_, err := Solve(context.Background(), customers, price, pv, cfg, rng.New(7))
+	_, err := Solve(context.Background(), nil, customers, price, pv, cfg, rng.New(7))
 	if !errors.Is(err, ErrDiverged) {
 		t.Fatalf("want ErrDiverged, got %v", err)
 	}
@@ -51,7 +51,7 @@ func TestSolveDivergesOnNaNPV(t *testing.T) {
 	cfg.MaxSweeps = 4
 	pv := middayPV(4)
 	pv[12] = math.NaN()
-	_, err := Solve(context.Background(), []*household.Customer{c}, flatPrice(0.1), [][]float64{pv}, cfg, rng.New(7))
+	_, err := Solve(context.Background(), nil, []*household.Customer{c}, flatPrice(0.1), [][]float64{pv}, cfg, rng.New(7))
 	if !errors.Is(err, ErrDiverged) {
 		t.Fatalf("want ErrDiverged, got %v", err)
 	}

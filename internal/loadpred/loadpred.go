@@ -69,7 +69,7 @@ func (p *Predictor) Predict(ctx context.Context, price timeseries.Series) (*game
 	if res, ok := p.cache[key]; ok {
 		return res, nil
 	}
-	res, err := game.Solve(ctx, p.customers, price, p.pv, p.cfg, rng.New(p.seed))
+	res, err := game.Solve(ctx, nil, p.customers, price, p.pv, p.cfg, rng.New(p.seed))
 	if err != nil {
 		return nil, err
 	}

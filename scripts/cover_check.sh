@@ -2,7 +2,8 @@
 # cover_check.sh — statement-coverage floor for the hot-path solver packages.
 # The workspace/active-set refactor (DESIGN.md §10) leans on its test layer —
 # the dpsched property suite, the game identity/invariance tests, the ceopt
-# workspace tests and the fleet determinism suite (§12) — so this gate fails
+# workspace tests and the fleet determinism suite (§12) — and every command
+# shares internal/cli's signal/obs/exit path — so this gate fails
 # the build if any of those packages
 # drops below the floor, before a coverage regression can silently erode the
 # bitwise-identity contract.
@@ -11,7 +12,7 @@
 set -eu
 
 FLOOR=${COVER_FLOOR:-70}
-PKGS="internal/dpsched internal/game internal/ceopt internal/meterstate internal/fleet internal/supervise internal/serve internal/attack"
+PKGS="internal/dpsched internal/game internal/ceopt internal/meterstate internal/fleet internal/supervise internal/serve internal/attack internal/cli"
 PROFILE=${COVER_PROFILE:-coverage.out}
 
 fail=0
