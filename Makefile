@@ -30,8 +30,8 @@ check: fmt-check vet panic-lint race
 
 # Statement-coverage floor (>=70%) for the hot-path solver packages
 # (internal/dpsched, internal/game, internal/ceopt, internal/meterstate), the
-# fleet/supervise/serve/attack layers and the shared command lifecycle
-# (internal/cli) — see DESIGN.md §10.
+# fleet/supervise/serve/attack layers, the shared command lifecycle
+# (internal/cli) and the spec lowering (internal/scenario) — see DESIGN.md §10.
 cover:
 	sh scripts/cover_check.sh
 

@@ -35,7 +35,6 @@ import (
 	"nmdetect/internal/attack"
 	"nmdetect/internal/ceopt"
 	"nmdetect/internal/community"
-	"nmdetect/internal/core"
 	"nmdetect/internal/detect"
 	"nmdetect/internal/dpsched"
 	"nmdetect/internal/experiments"
@@ -53,61 +52,59 @@ import (
 	"nmdetect/internal/timeseries"
 )
 
-// benchConfig returns the reduced-scale experiment configuration used by the
-// per-figure benchmarks.
-func benchConfig() experiments.Config {
-	return experiments.Config{
-		N:             24,
-		Seed:          42,
-		BootstrapDays: 5,
-		GameSweeps:    2,
-		MonitorDays:   1,
-		Solver:        core.SolverQMDP,
-	}
+// benchSpec returns the reduced-scale scenario used by the per-figure
+// benchmarks.
+func benchSpec() scenario.Spec {
+	s := scenario.Default(24, 42)
+	s.Horizon.BootstrapDays = 5
+	s.Horizon.MonitorDays = 1
+	s.Game.Sweeps = 2
+	s.Detector.Solver = "qmdp"
+	return s
 }
 
 // --- Figure/Table regeneration benchmarks -------------------------------
 
 func BenchmarkFig3PriceOnlyPrediction(b *testing.B) {
-	cfg := benchConfig()
+	spec := benchSpec()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig3(context.Background(), cfg); err != nil {
+		if _, err := experiments.Fig3(context.Background(), spec); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig4NetMeteringPrediction(b *testing.B) {
-	cfg := benchConfig()
+	spec := benchSpec()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig4(context.Background(), cfg); err != nil {
+		if _, err := experiments.Fig4(context.Background(), spec); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig5Attack(b *testing.B) {
-	cfg := benchConfig()
+	spec := benchSpec()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig5(context.Background(), cfg); err != nil {
+		if _, err := experiments.Fig5(context.Background(), spec); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig6ObservationAccuracy(b *testing.B) {
-	cfg := benchConfig()
+	spec := benchSpec()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig6(context.Background(), cfg); err != nil {
+		if _, err := experiments.Fig6(context.Background(), spec); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkTable1DetectionComparison(b *testing.B) {
-	cfg := benchConfig()
+	spec := benchSpec()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table1(context.Background(), cfg); err != nil {
+		if _, err := experiments.Table1(context.Background(), spec); err != nil {
 			b.Fatal(err)
 		}
 	}

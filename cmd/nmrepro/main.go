@@ -109,10 +109,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := validateExperiment(*experiment, *reportPath, *jsonPath, *ckpt, *resume, spec); err != nil {
 		return exitcode.AsValidation(err)
 	}
-	cfg := spec.ExperimentsConfig()
-	if err := cfg.Validate(); err != nil {
-		return exitcode.AsValidation(err)
-	}
 
 	obsCfg.Cmd, obsCfg.ScenarioID, obsCfg.Seed, obsCfg.Workers = "nmrepro", spec.ID(), spec.Seed, spec.Game.Workers
 	if err := obs.Setup(*obsCfg); err != nil {
@@ -126,9 +122,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 	switch *experiment {
 	case "attacks":
-		return runAttackSweep(ctx, cfg, *jsonPath, stdout)
+		return runAttackSweep(ctx, spec, *jsonPath, stdout)
 	case "fleet":
-		return runFleetRepro(ctx, spec, cfg, *fleetW, *jsonPath, stdout)
+		return runFleetRepro(ctx, spec, *fleetW, *jsonPath, stdout)
 	}
 
 	state := reproState{ScenarioID: spec.ID()}
@@ -144,7 +140,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 	if *experiment == "ablations" {
-		return runAblations(ctx, cfg, stdout)
+		return runAblations(ctx, spec, stdout)
 	}
 	// Each figure renders from the checkpoint when it holds the result, and
 	// is computed (then checkpointed) otherwise.
@@ -155,19 +151,19 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		render    func() error
 	}{
 		{"fig3", "Figure 3: prediction WITHOUT considering net metering", state.F3 == nil,
-			func() (err error) { state.F3, err = experiments.Fig3(ctx, cfg); return err },
+			func() (err error) { state.F3, err = experiments.Fig3(ctx, spec); return err },
 			func() error { return renderPrediction(stdout, state.F3, "fig3", *csvDir, 1.4700) }},
 		{"fig4", "Figure 4: prediction considering net metering", state.F4 == nil,
-			func() (err error) { state.F4, err = experiments.Fig4(ctx, cfg); return err },
+			func() (err error) { state.F4, err = experiments.Fig4(ctx, spec); return err },
 			func() error { return renderPrediction(stdout, state.F4, "fig4", *csvDir, 1.3986) }},
 		{"fig5", "Figure 5: zero-price cyberattack", state.F5 == nil,
-			func() (err error) { state.F5, err = experiments.Fig5(ctx, cfg); return err },
+			func() (err error) { state.F5, err = experiments.Fig5(ctx, spec); return err },
 			func() error { return renderFig5(stdout, state.F5, *csvDir) }},
 		{"fig6", "Figure 6: 48h observation accuracy", state.F6 == nil,
-			func() (err error) { state.F6, err = experiments.Fig6(ctx, cfg); return err },
+			func() (err error) { state.F6, err = experiments.Fig6(ctx, spec); return err },
 			func() error { return renderFig6(stdout, state.F6, *csvDir) }},
 		{"table1", "Table 1: detection comparison", state.T1 == nil,
-			func() (err error) { state.T1, err = experiments.Table1(ctx, cfg); return err },
+			func() (err error) { state.T1, err = experiments.Table1(ctx, spec); return err },
 			func() error { renderTable1(stdout, state.T1); return nil }},
 	}
 	for _, st := range steps {
@@ -199,7 +195,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fmt.Fprintln(stdout, h)
 
 	rep := &experiments.Report{
-		Config: cfg, Fig3: f3, Fig4: f4, Fig5: f5, Fig6: f6, Table1: t1,
+		Spec: spec, Fig3: f3, Fig4: f4, Fig5: f5, Fig6: f6, Table1: t1,
 		Headline: h, Generated: time.Now(),
 	}
 	if err := writeReport(stdout, "report", *reportPath, rep.Render); err != nil {
@@ -251,11 +247,10 @@ func validateExperiment(experiment, reportPath, jsonPath, ckpt string, resume bo
 // runFleetRepro runs the multi-community fleet experiment: the scenario's
 // world replicated across the fleet width, monitored with the aware
 // detector, aggregated per community plus rollup.
-func runFleetRepro(ctx context.Context, spec scenario.Spec, cfg experiments.Config, fleetWorkers int, jsonPath string, stdout io.Writer) error {
-	communities := spec.FleetCommunities()
+func runFleetRepro(ctx context.Context, spec scenario.Spec, fleetWorkers int, jsonPath string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "== Fleet: %d communities x %d meters, %d monitored days ==\n",
-		communities, cfg.N, cfg.MonitorDays)
-	rep, err := experiments.Fleet(ctx, cfg, communities, fleet.DetectorAware, fleetWorkers)
+		spec.FleetCommunities(), spec.N, spec.Horizon.MonitorDays)
+	rep, err := experiments.Fleet(ctx, spec, fleet.DetectorAware, fleetWorkers)
 	if err != nil {
 		return err
 	}
@@ -267,10 +262,10 @@ func runFleetRepro(ctx context.Context, spec scenario.Spec, cfg experiments.Conf
 
 // runAttackSweep runs the detection-accuracy-vs-archetype sweep with the
 // NM-aware detector enforcing.
-func runAttackSweep(ctx context.Context, cfg experiments.Config, jsonPath string, stdout io.Writer) error {
+func runAttackSweep(ctx context.Context, spec scenario.Spec, jsonPath string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "== Attack archetypes: N=%d, %d monitored days, NM-aware detector ==\n",
-		cfg.N, cfg.MonitorDays)
-	sweep, err := experiments.AttackSweep(ctx, cfg)
+		spec.N, spec.Horizon.MonitorDays)
+	sweep, err := experiments.AttackSweep(ctx, spec)
 	if err != nil {
 		return err
 	}
@@ -280,65 +275,65 @@ func runAttackSweep(ctx context.Context, cfg experiments.Config, jsonPath string
 	return writeReport(stdout, "JSON attack-sweep report", jsonPath, sweep.WriteJSON)
 }
 
-func runAblations(ctx context.Context, cfg experiments.Config, stdout io.Writer) error {
+func runAblations(ctx context.Context, spec scenario.Spec, stdout io.Writer) error {
 	fmt.Fprintln(stdout, "== Ablation: POMDP policy solver ==")
-	solverRows, err := experiments.AblationSolver(ctx, cfg)
+	solverRows, err := experiments.AblationSolver(ctx, spec)
 	if err != nil {
 		return err
 	}
 	experiments.RenderSolverAblation(stdout, solverRows)
 
 	fmt.Fprintln(stdout, "\n== Ablation: forecaster kernel ==")
-	kernelRows, err := experiments.AblationKernel(ctx, cfg)
+	kernelRows, err := experiments.AblationKernel(ctx, spec)
 	if err != nil {
 		return err
 	}
 	experiments.RenderKernelAblation(stdout, kernelRows)
 
 	fmt.Fprintln(stdout, "\n== Ablation: PV-forecast noise vs channel quality ==")
-	noiseRows, err := experiments.AblationForecastNoise(ctx, cfg, []float64{0, 0.02, 0.05, 0.1, 0.2})
+	noiseRows, err := experiments.AblationForecastNoise(ctx, spec, []float64{0, 0.02, 0.05, 0.1, 0.2})
 	if err != nil {
 		return err
 	}
 	experiments.RenderForecastNoiseAblation(stdout, noiseRows)
 
 	fmt.Fprintln(stdout, "\n== Ablation: flag threshold τ ==")
-	tauRows, err := experiments.AblationTau(ctx, cfg, []float64{0.25, 0.5, 1.0, 1.5, 2.5})
+	tauRows, err := experiments.AblationTau(ctx, spec, []float64{0.25, 0.5, 1.0, 1.5, 2.5})
 	if err != nil {
 		return err
 	}
 	experiments.RenderTauAblation(stdout, tauRows)
 
 	fmt.Fprintln(stdout, "\n== Ablation: net-metering sell-back divisor W ==")
-	sellRows, err := experiments.AblationSellBack(ctx, cfg, []float64{1, 1.5, 2, 3, 5})
+	sellRows, err := experiments.AblationSellBack(ctx, spec, []float64{1, 1.5, 2, 3, 5})
 	if err != nil {
 		return err
 	}
 	experiments.RenderSellBackAblation(stdout, sellRows)
 
 	fmt.Fprintln(stdout, "\n== Ablation: attack payloads ([8]'s PAR and bill attacks) ==")
-	atkRows, err := experiments.AblationAttacks(ctx, cfg)
+	atkRows, err := experiments.AblationAttacks(ctx, spec)
 	if err != nil {
 		return err
 	}
 	experiments.RenderAttackAblation(stdout, atkRows)
 
 	fmt.Fprintln(stdout, "\n== Ablation: zero-window position (the attacker's optimization) ==")
-	winRows, err := experiments.AblationAttackWindow(ctx, cfg, []int{2, 8, 12, 16, 20})
+	winRows, err := experiments.AblationAttackWindow(ctx, spec, []int{2, 8, 12, 16, 20})
 	if err != nil {
 		return err
 	}
 	experiments.RenderWindowSweep(stdout, winRows)
 
 	fmt.Fprintln(stdout, "\n== Ablation: battery storage contribution ==")
-	battRows, err := experiments.AblationBattery(ctx, cfg)
+	battRows, err := experiments.AblationBattery(ctx, spec)
 	if err != nil {
 		return err
 	}
 	experiments.RenderBatteryAblation(stdout, battRows)
 
 	fmt.Fprintln(stdout, "\n== Extension: meter-side price filter (package mitigate) ==")
-	mit, err := experiments.Mitigation(ctx, cfg)
+	mit, err := experiments.Mitigation(ctx, spec)
 	if err != nil {
 		return err
 	}

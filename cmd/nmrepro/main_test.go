@@ -128,6 +128,49 @@ func TestSweepsAndFleet(t *testing.T) {
 	}
 }
 
+// TestScenarioBaselineDaysHonoured: every field of a scenario spec is
+// content, so two specs that differ only in baseline_days — and therefore
+// have different content IDs — must produce different figures, while the
+// spec dumped from a flag line must reproduce that flag line's run exactly.
+func TestScenarioBaselineDaysHonoured(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three fig6 runs skipped in -short mode")
+	}
+	world := []string{"-n", "12", "-boot", "4", "-days", "1"}
+	dump := runRepro(t, context.Background(), append(world, "-dump-scenario")...)
+	if dump.Code != 0 {
+		t.Fatalf("dump: exit %d: %v", dump.Code, dump.Err)
+	}
+	const two, four = `"baseline_days": 2`, `"baseline_days": 4`
+	if strings.Count(dump.Stdout, two) != 1 {
+		t.Fatalf("dumped spec does not hold %s exactly once:\n%s", two, dump.Stdout)
+	}
+	dir := t.TempDir()
+	specTwo, specFour := filepath.Join(dir, "two.json"), filepath.Join(dir, "four.json")
+	if err := os.WriteFile(specTwo, []byte(dump.Stdout), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(specFour, []byte(strings.Replace(dump.Stdout, two, four, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fig6 := func(args ...string) string {
+		t.Helper()
+		res := runRepro(t, context.Background(), append(args, "-experiment", "fig6")...)
+		if res.Code != 0 {
+			t.Fatalf("%v: exit %d: %v", args, res.Code, res.Err)
+		}
+		return res.Stdout
+	}
+	outTwo, outFour := fig6("-scenario", specTwo), fig6("-scenario", specFour)
+	if outTwo == outFour {
+		t.Error("baseline_days 2 and 4 printed identical fig6 output: the spec field is ignored")
+	}
+	if flags := fig6(world...); outTwo != flags {
+		t.Errorf("the dumped spec's fig6 differs from the flag-built run:\n%s\nwant:\n%s", outTwo, flags)
+	}
+}
+
 // TestFlagErrorsBeforeWork runs every bad flag combination under an
 // already-cancelled context: each must be refused with exit 2 before an
 // experiment starts, and -report must not be written.

@@ -26,11 +26,16 @@ func main() {
 	ctx := context.Background()
 	src := rng.New(3)
 
-	// The world knobs come from one declarative scenario spec; its
-	// GameConfig lowering is what every detector and engine shares.
+	// The world knobs come from one declarative scenario spec; the engine it
+	// builds lowers them into the game configuration every detector and
+	// engine shares.
 	spec := scenario.Default(n, 3)
 	spec.Name = "net-metering-game"
 	spec.Game.Sweeps = 5
+	engine, err := spec.NewEngine()
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	gen := household.DefaultGenerator()
 	customers, err := gen.Generate(n, src.Derive("community"))
@@ -56,7 +61,7 @@ func main() {
 	}
 
 	solve := func(netMetering bool) *game.Result {
-		cfg := spec.GameConfig(netMetering)
+		cfg := engine.GameConfig(netMetering)
 		var pvIn [][]float64
 		var gsrc *rng.Source
 		if netMetering {

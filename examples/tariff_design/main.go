@@ -24,12 +24,11 @@ func main() {
 	spec.Horizon.BootstrapDays = 4
 	spec.Horizon.MonitorDays = 1
 	spec.Detector.Solver = "qmdp"
-	cfg := spec.ExperimentsConfig()
 
 	ws := []float64{1, 1.25, 1.5, 2, 3, 5, 10}
-	fmt.Printf("sweeping sell-back divisor W over %v on a %d-home community...\n\n", ws, cfg.N)
+	fmt.Printf("sweeping sell-back divisor W over %v on a %d-home community...\n\n", ws, spec.N)
 
-	rows, err := experiments.AblationSellBack(context.Background(), cfg, ws)
+	rows, err := experiments.AblationSellBack(context.Background(), spec, ws)
 	if err != nil {
 		log.Fatal(err)
 	}

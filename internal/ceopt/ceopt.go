@@ -20,7 +20,6 @@ import (
 	"sort"
 
 	"nmdetect/internal/obs"
-	"nmdetect/internal/parallel"
 	"nmdetect/internal/rng"
 	"nmdetect/internal/watchdog"
 )
@@ -53,15 +52,6 @@ type Options struct {
 	// MinStd floors the standard deviation to avoid premature collapse
 	// (fraction of box width).
 	MinStd float64
-	// Workers enables opt-in parallel candidate evaluation for large
-	// populations: values > 1 evaluate each iteration's K samples with up
-	// to Workers concurrent objective calls (bounded by the shared
-	// internal/parallel pool). Values <= 1 — the default — evaluate
-	// sequentially. Sample *drawing* always stays sequential on the single
-	// source, so the sampled candidates (and hence the result) are bitwise
-	// identical for every Workers setting; the objective must be safe for
-	// concurrent calls when Workers > 1.
-	Workers int
 }
 
 // DefaultOptions returns the configuration used by the battery optimizer:
@@ -251,18 +241,6 @@ func (ws *Workspace) Minimize(ctx context.Context, f Objective, lo, hi []float64
 	res.F = f(res.X)
 	res.Evaluations++
 
-	evalWorkers := opts.Workers
-	if evalWorkers < 1 {
-		evalWorkers = 1
-	}
-	// One closure for every generation: pop's identity is fixed for the whole
-	// run (sorting swaps elements in place), so hoisting the evaluator out of
-	// the iteration loop changes no draw and no result.
-	evalOne := func(k int) error {
-		pop[k].f = f(pop[k].x)
-		return nil
-	}
-
 	// Watchdog state: lastMean/lastStd hold the sampling density of the most
 	// recent healthy iteration. An elite update that leaves the finite region
 	// (a NaN-producing objective poisons the elite statistics) restores it
@@ -284,9 +262,6 @@ func (ws *Workspace) Minimize(ctx context.Context, f Objective, lo, hi []float64
 			}
 		}
 		res.Iterations = iter + 1
-		// Draw the entire population first, sequentially on the single
-		// source — the stream (and therefore every candidate) is unchanged
-		// by the evaluation mode below.
 		for k := range pop {
 			for i := 0; i < d; i++ {
 				if width[i] == 0 {
@@ -296,10 +271,8 @@ func (ws *Workspace) Minimize(ctx context.Context, f Objective, lo, hi []float64
 				pop[k].x[i] = src.TruncNormal(mean[i], std[i], lo[i], hi[i])
 			}
 		}
-		// Evaluate candidates, fanning out when Workers > 1; each worker
-		// writes only its own sample's f field.
-		if err := parallel.ForEach(ctx, evalWorkers, len(pop), evalOne); err != nil {
-			return res, err
+		for k := range pop {
+			pop[k].f = f(pop[k].x)
 		}
 		res.Evaluations += len(pop)
 		ws.sorter.pop = pop

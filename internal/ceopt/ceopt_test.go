@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"nmdetect/internal/mat"
-	"nmdetect/internal/parallel"
 	"nmdetect/internal/rng"
 )
 
@@ -308,51 +307,5 @@ func TestMinimizeHighDimensionalTrajectory(t *testing.T) {
 	// RMS error per coordinate should be small.
 	if rms := math.Sqrt(res.F / 24); rms > 0.5 {
 		t.Fatalf("per-coordinate RMS = %v", rms)
-	}
-}
-
-func TestMinimizeParallelEvaluationBitwiseIdentical(t *testing.T) {
-	// Sampling stays on the single source, so the parallel evaluation mode
-	// must reproduce the sequential result bitwise for any Workers value.
-	prev := parallel.SetLimit(8)
-	defer parallel.SetLimit(prev)
-
-	target := make([]float64, 24)
-	for i := range target {
-		target[i] = 2 + math.Cos(float64(i)/3)
-	}
-	f := func(x []float64) float64 {
-		s := 0.0
-		for i, v := range x {
-			d := v - target[i]
-			s += d*d + 0.1*math.Abs(d)
-		}
-		return s
-	}
-	lo, hi := box(24, 0, 8)
-	opts := DefaultOptions()
-	opts.Samples = 40
-	opts.MaxIter = 15
-
-	seq, err := Minimize(context.Background(), f, lo, hi, nil, rng.New(99), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		popts := opts
-		popts.Workers = workers
-		par, err := Minimize(context.Background(), f, lo, hi, nil, rng.New(99), popts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par.F != seq.F || par.Iterations != seq.Iterations ||
-			par.Evaluations != seq.Evaluations || par.Converged != seq.Converged {
-			t.Fatalf("workers=%d: result header diverged: %+v vs %+v", workers, par, seq)
-		}
-		for i := range seq.X {
-			if par.X[i] != seq.X[i] {
-				t.Fatalf("workers=%d: X[%d] = %v, want %v", workers, i, par.X[i], seq.X[i])
-			}
-		}
 	}
 }

@@ -143,7 +143,7 @@ func (k *DetectorKit) ExpectedProfiles(ctx context.Context, e *Engine, env *DayE
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := e.gameConfig(k.NetMetering)
+	cfg := e.GameConfig(k.NetMetering)
 	var pv [][]float64
 	if k.NetMetering {
 		pv = env.PVForecast
@@ -495,7 +495,7 @@ func (e *Engine) AttackProbe(ctx context.Context, kit *DetectorKit) (attack.Prob
 	if err != nil {
 		return nil, err
 	}
-	cfg := e.gameConfig(true)
+	cfg := e.GameConfig(true)
 	pred, err := loadpred.New(e.Customers(), cfg, env.PV, e.ControllerSeed())
 	if err != nil {
 		return nil, err
@@ -534,7 +534,7 @@ func (e *Engine) AttackProbe(ctx context.Context, kit *DetectorKit) (attack.Prob
 // SingleEventKit builds a single-event detector whose load predictions use
 // the kit's community model for this engine.
 func (e *Engine) SingleEventKit(kit *DetectorKit, env *DayEnvironment, deltaPAR float64) (*detect.SingleEvent, error) {
-	cfg := e.gameConfig(kit.NetMetering)
+	cfg := e.GameConfig(kit.NetMetering)
 	var pv [][]float64
 	if kit.NetMetering {
 		pv = env.PVForecast

@@ -252,8 +252,9 @@ func (e *Engine) Config() Config { return e.cfg }
 func (e *Engine) ControllerSeed() uint64 { return e.cfg.Seed ^ 0xc0117011e5 }
 
 // GameConfig builds the scheduling-game solver configuration the engine uses
-// for the given community model (exported so harnesses can run load
-// predictions consistent with the engine's own solves).
+// for the given community model. It is the one lowering into game.Config:
+// the engine's own solves, every detector and the harnesses share it, so
+// load predictions stay consistent with the engine's solves.
 func (e *Engine) GameConfig(netMetering bool) game.Config {
 	cfg := game.DefaultConfig(e.cfg.Tariff, netMetering)
 	cfg.MaxSweeps = e.cfg.GameSweeps
@@ -263,9 +264,6 @@ func (e *Engine) GameConfig(netMetering bool) game.Config {
 	cfg.Shards = e.cfg.Shards
 	return cfg
 }
-
-// gameConfig is the internal alias.
-func (e *Engine) gameConfig(netMetering bool) game.Config { return e.GameConfig(netMetering) }
 
 // DayEnvironment is the exogenous state of one simulated day.
 type DayEnvironment struct {
@@ -438,7 +436,7 @@ func (e *Engine) SimulateDay(ctx context.Context, env *DayEnvironment, camp *att
 	}
 	daySrc := e.src.Derive(fmt.Sprintf("sim-%d", e.day))
 
-	cfg := e.gameConfig(netMetering)
+	cfg := e.GameConfig(netMetering)
 	pv := env.PV
 	if !netMetering {
 		pv = nil

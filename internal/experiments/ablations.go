@@ -16,6 +16,7 @@ import (
 	"nmdetect/internal/metrics"
 	"nmdetect/internal/mitigate"
 	"nmdetect/internal/rng"
+	"nmdetect/internal/scenario"
 	"nmdetect/internal/svr"
 	"nmdetect/internal/tariff"
 )
@@ -34,14 +35,18 @@ type SolverAblationRow struct {
 
 // AblationSolver compares the three long-term policy solvers (PBVI, QMDP,
 // myopic threshold) on identical worlds with the NM-aware kit.
-func AblationSolver(ctx context.Context, cfg Config) ([]SolverAblationRow, error) {
-	if err := cfg.Validate(); err != nil {
+func AblationSolver(ctx context.Context, spec scenario.Spec) ([]SolverAblationRow, error) {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	rows := make([]SolverAblationRow, 0, 3)
 	for _, solver := range []core.PolicySolver{core.SolverPBVI, core.SolverQMDP, core.SolverThreshold} {
-		opts := cfg.options()
-		opts.Solver = solver
+		s := spec
+		s.Detector.Solver = string(solver)
+		opts, err := s.CoreOptions()
+		if err != nil {
+			return nil, err
+		}
 		sys, err := core.NewSystem(ctx, opts)
 		if err != nil {
 			return nil, err
@@ -50,7 +55,7 @@ func AblationSolver(ctx context.Context, cfg Config) ([]SolverAblationRow, error
 		if err != nil {
 			return nil, err
 		}
-		results, err := sys.MonitorDays(ctx, sys.Aware, camp, cfg.MonitorDays, true)
+		results, err := sys.MonitorDays(ctx, sys.Aware, camp, s.Horizon.MonitorDays, true)
 		if err != nil {
 			return nil, err
 		}
@@ -74,10 +79,7 @@ type KernelAblationRow struct {
 // AblationKernel compares SVR kernels for the guideline-price forecaster on
 // a flip-day evaluation (the Figure 3/4 scenario). The paper's formation is
 // affine in net demand, so the linear kernel is the matched model class.
-func AblationKernel(ctx context.Context, cfg Config) ([]KernelAblationRow, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func AblationKernel(ctx context.Context, spec scenario.Spec) ([]KernelAblationRow, error) {
 	kernels := []struct {
 		name string
 		opts svr.LSSVMOptions
@@ -88,11 +90,11 @@ func AblationKernel(ctx context.Context, cfg Config) ([]KernelAblationRow, error
 		{"poly-2", svr.LSSVMOptions{Gamma: 100, Kernel: svr.PolyKernel{Degree: 2, Coef: 1}}},
 	}
 
-	engine, err := community.NewEngine(communityConfig(cfg))
+	engine, err := spec.NewEngine()
 	if err != nil {
 		return nil, err
 	}
-	if err := engine.Bootstrap(ctx, cfg.BootstrapDays, true); err != nil {
+	if err := engine.Bootstrap(ctx, spec.Horizon.BootstrapDays, true); err != nil {
 		return nil, err
 	}
 	env, err := flipDay(ctx, engine)
@@ -148,19 +150,19 @@ type ForecastNoiseRow struct {
 // paper assumes θ "approximately known in advance"; this quantifies how fast
 // the channel degrades when it is not (the cross-entropy battery optimizer
 // amplifies input perturbations).
-func AblationForecastNoise(ctx context.Context, cfg Config, sigmas []float64) ([]ForecastNoiseRow, error) {
-	if err := cfg.Validate(); err != nil {
+func AblationForecastNoise(ctx context.Context, spec scenario.Spec, sigmas []float64) ([]ForecastNoiseRow, error) {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	rows := make([]ForecastNoiseRow, 0, len(sigmas))
 	for _, sigma := range sigmas {
-		ccfg := communityConfig(cfg)
-		ccfg.SolarForecastSigma = sigma
-		engine, err := community.NewEngine(ccfg)
+		s := spec
+		s.PV.ForecastSigma = sigma
+		engine, err := s.NewEngine()
 		if err != nil {
 			return nil, err
 		}
-		if err := engine.Bootstrap(ctx, cfg.BootstrapDays, true); err != nil {
+		if err := engine.Bootstrap(ctx, s.Horizon.BootstrapDays, true); err != nil {
 			return nil, err
 		}
 		fc, err := forecast.Train(engine.History(), forecast.ModeNetMeteringAware, forecast.DefaultOptions())
@@ -190,15 +192,12 @@ type TauRow struct {
 
 // AblationTau sweeps the deviation threshold τ and reports the calibrated
 // channel rates of both detector variants.
-func AblationTau(ctx context.Context, cfg Config, taus []float64) ([]TauRow, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	engine, err := community.NewEngine(communityConfig(cfg))
+func AblationTau(ctx context.Context, spec scenario.Spec, taus []float64) ([]TauRow, error) {
+	engine, err := spec.NewEngine()
 	if err != nil {
 		return nil, err
 	}
-	if err := engine.Bootstrap(ctx, cfg.BootstrapDays, true); err != nil {
+	if err := engine.Bootstrap(ctx, spec.Horizon.BootstrapDays, true); err != nil {
 		return nil, err
 	}
 	fAware, err := forecast.Train(engine.History(), forecast.ModeNetMeteringAware, forecast.DefaultOptions())
@@ -246,29 +245,25 @@ type SellBackRow struct {
 // AblationSellBack sweeps the net-metering sell-back divisor W (W=1 is full
 // retail net metering; larger W pays sellers less) and measures community
 // cost and load shape — the policy knob net-metering programs debate.
-func AblationSellBack(ctx context.Context, cfg Config, ws []float64) ([]SellBackRow, error) {
-	if err := cfg.Validate(); err != nil {
+func AblationSellBack(ctx context.Context, spec scenario.Spec, ws []float64) ([]SellBackRow, error) {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	base := communityConfig(cfg)
-	engine, err := community.NewEngine(base)
-	if err != nil {
-		return nil, err
-	}
-	env, err := engine.PrepareDay(ctx, true)
-	if err != nil {
-		return nil, err
-	}
-
 	rows := make([]SellBackRow, 0, len(ws))
 	for _, w := range ws {
-		q, err := tariff.NewQuadratic(w)
+		// The tariff only prices the game, so fresh engines with the same
+		// seed keep every W on an identical community and day.
+		s := spec
+		s.Tariff.SellBackW = w
+		engine, err := s.NewEngine()
 		if err != nil {
 			return nil, err
 		}
-		gcfg := game.DefaultConfig(q, true)
-		gcfg.MaxSweeps = base.GameSweeps
-		res, err := game.Solve(ctx, nil, engine.Customers(), env.Published, env.PV, gcfg, rng.New(engine.ControllerSeed()))
+		env, err := engine.PrepareDay(ctx, true)
+		if err != nil {
+			return nil, err
+		}
+		res, err := game.Solve(ctx, nil, engine.Customers(), env.Published, env.PV, engine.GameConfig(true), rng.New(engine.ControllerSeed()))
 		if err != nil {
 			return nil, err
 		}
@@ -310,15 +305,16 @@ type AttackRow struct {
 // (zero-price window), load-attracting scaling, and the bill-maximizing
 // price inversion — on the same community day, measuring realized PAR, bill
 // impact and single-event detectability.
-func AblationAttacks(ctx context.Context, cfg Config) ([]AttackRow, error) {
-	if err := cfg.Validate(); err != nil {
+func AblationAttacks(ctx context.Context, spec scenario.Spec) ([]AttackRow, error) {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	engine, err := community.NewEngine(communityConfig(cfg))
+	ccfg := spec.CommunityConfig()
+	engine, err := community.NewEngine(ccfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := engine.Bootstrap(ctx, cfg.BootstrapDays, true); err != nil {
+	if err := engine.Bootstrap(ctx, spec.Horizon.BootstrapDays, true); err != nil {
 		return nil, err
 	}
 	fc, err := forecast.Train(engine.History(), forecast.ModeNetMeteringAware, forecast.DefaultOptions())
@@ -339,22 +335,22 @@ func AblationAttacks(ctx context.Context, cfg Config) ([]AttackRow, error) {
 	for _, atk := range attacks {
 		// Fresh engines with the same seed keep every payload on an
 		// identical day.
-		eng, err := community.NewEngine(communityConfig(cfg))
+		eng, err := community.NewEngine(ccfg)
 		if err != nil {
 			return nil, err
 		}
-		if err := eng.Bootstrap(ctx, cfg.BootstrapDays, true); err != nil {
+		if err := eng.Bootstrap(ctx, spec.Horizon.BootstrapDays, true); err != nil {
 			return nil, err
 		}
 		env, err := eng.PrepareDay(ctx, true)
 		if err != nil {
 			return nil, err
 		}
-		camp, err := attack.NewCampaign(cfg.N, 0, 1, 1, atk)
+		camp, err := attack.NewCampaign(spec.N, 0, 1, 1, atk)
 		if err != nil {
 			return nil, err
 		}
-		camp.HackNow(cfg.N, rng.New(cfg.Seed).Derive("ablation-attack"))
+		camp.HackNow(spec.N, rng.New(spec.Seed).Derive("ablation-attack"))
 
 		predicted, err := kit.PredictPrice(eng, env)
 		if err != nil {
@@ -426,31 +422,32 @@ type WindowSweepRow struct {
 // attacker's own optimization problem from [8]: where should the free window
 // sit to maximize PAR? Evening windows coincide with the flexible-load
 // concentration and dominate.
-func AblationAttackWindow(ctx context.Context, cfg Config, starts []int) ([]WindowSweepRow, error) {
-	if err := cfg.Validate(); err != nil {
+func AblationAttackWindow(ctx context.Context, spec scenario.Spec, starts []int) ([]WindowSweepRow, error) {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	ccfg := spec.CommunityConfig()
 	rows := make([]WindowSweepRow, 0, len(starts))
 	for _, from := range starts {
 		if from < 0 || from > 22 {
 			return nil, fmt.Errorf("experiments: window start %d out of [0,22]", from)
 		}
-		eng, err := community.NewEngine(communityConfig(cfg))
+		eng, err := community.NewEngine(ccfg)
 		if err != nil {
 			return nil, err
 		}
-		if err := eng.Bootstrap(ctx, cfg.BootstrapDays, true); err != nil {
+		if err := eng.Bootstrap(ctx, spec.Horizon.BootstrapDays, true); err != nil {
 			return nil, err
 		}
 		env, err := eng.PrepareDay(ctx, true)
 		if err != nil {
 			return nil, err
 		}
-		camp, err := attack.NewCampaign(cfg.N, 0, 1, 1, attack.ZeroWindow{From: from, To: from + 1})
+		camp, err := attack.NewCampaign(spec.N, 0, 1, 1, attack.ZeroWindow{From: from, To: from + 1})
 		if err != nil {
 			return nil, err
 		}
-		camp.HackNow(cfg.N, rng.New(cfg.Seed).Derive("window-sweep"))
+		camp.HackNow(spec.N, rng.New(spec.Seed).Derive("window-sweep"))
 		trace, err := eng.SimulateDay(ctx, env, camp, true, nil)
 		if err != nil {
 			return nil, err
@@ -470,11 +467,8 @@ type BatteryAblationRow struct {
 // AblationBattery isolates the cross-entropy battery optimization's
 // contribution: the same community and day solved with batteries as drawn
 // and with every battery removed.
-func AblationBattery(ctx context.Context, cfg Config) ([]BatteryAblationRow, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	engine, err := community.NewEngine(communityConfig(cfg))
+func AblationBattery(ctx context.Context, spec scenario.Spec) ([]BatteryAblationRow, error) {
+	engine, err := spec.NewEngine()
 	if err != nil {
 		return nil, err
 	}
@@ -548,15 +542,12 @@ type MitigationResult struct {
 }
 
 // Mitigation runs the defense extension experiment.
-func Mitigation(ctx context.Context, cfg Config) (*MitigationResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	engine, err := community.NewEngine(communityConfig(cfg))
+func Mitigation(ctx context.Context, spec scenario.Spec) (*MitigationResult, error) {
+	engine, err := spec.NewEngine()
 	if err != nil {
 		return nil, err
 	}
-	if err := engine.Bootstrap(ctx, cfg.BootstrapDays, true); err != nil {
+	if err := engine.Bootstrap(ctx, spec.Horizon.BootstrapDays, true); err != nil {
 		return nil, err
 	}
 	fc, err := forecast.Train(engine.History(), forecast.ModeNetMeteringAware, forecast.DefaultOptions())

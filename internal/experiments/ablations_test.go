@@ -8,8 +8,8 @@ import (
 )
 
 func TestAblationSolver(t *testing.T) {
-	cfg := fastConfig(42)
-	rows, err := AblationSolver(context.Background(), cfg)
+	spec := fastSpec(42)
+	rows, err := AblationSolver(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +37,8 @@ func TestAblationSolver(t *testing.T) {
 }
 
 func TestAblationKernel(t *testing.T) {
-	cfg := fastConfig(42)
-	rows, err := AblationKernel(context.Background(), cfg)
+	spec := fastSpec(42)
+	rows, err := AblationKernel(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +58,8 @@ func TestAblationKernel(t *testing.T) {
 }
 
 func TestAblationForecastNoise(t *testing.T) {
-	cfg := fastConfig(42)
-	rows, err := AblationForecastNoise(context.Background(), cfg, []float64{0, 0.1})
+	spec := fastSpec(42)
+	rows, err := AblationForecastNoise(context.Background(), spec, []float64{0, 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +81,8 @@ func TestAblationForecastNoise(t *testing.T) {
 }
 
 func TestAblationTau(t *testing.T) {
-	cfg := fastConfig(42)
-	rows, err := AblationTau(context.Background(), cfg, []float64{0.5, 2.0})
+	spec := fastSpec(42)
+	rows, err := AblationTau(context.Background(), spec, []float64{0.5, 2.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +105,8 @@ func TestAblationTau(t *testing.T) {
 }
 
 func TestAblationSellBack(t *testing.T) {
-	cfg := fastConfig(42)
-	rows, err := AblationSellBack(context.Background(), cfg, []float64{1, 2, 4})
+	spec := fastSpec(42)
+	rows, err := AblationSellBack(context.Background(), spec, []float64{1, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +130,8 @@ func TestAblationSellBack(t *testing.T) {
 }
 
 func TestAblationAttacks(t *testing.T) {
-	cfg := fastConfig(42)
-	rows, err := AblationAttacks(context.Background(), cfg)
+	spec := fastSpec(42)
+	rows, err := AblationAttacks(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +176,8 @@ func TestAblationAttacks(t *testing.T) {
 }
 
 func TestAblationAttackWindow(t *testing.T) {
-	cfg := fastConfig(42)
-	rows, err := AblationAttackWindow(context.Background(), cfg, []int{2, 16})
+	spec := fastSpec(42)
+	rows, err := AblationAttackWindow(context.Background(), spec, []int{2, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestAblationAttackWindow(t *testing.T) {
 	if rows[1].PAR <= rows[0].PAR {
 		t.Fatalf("evening window PAR %v not above night window %v", rows[1].PAR, rows[0].PAR)
 	}
-	if _, err := AblationAttackWindow(context.Background(), cfg, []int{23}); err == nil {
+	if _, err := AblationAttackWindow(context.Background(), spec, []int{23}); err == nil {
 		t.Error("out-of-range window accepted")
 	}
 	var buf bytes.Buffer
@@ -200,8 +200,8 @@ func TestAblationAttackWindow(t *testing.T) {
 }
 
 func TestAblationBattery(t *testing.T) {
-	cfg := fastConfig(42)
-	rows, err := AblationBattery(context.Background(), cfg)
+	spec := fastSpec(42)
+	rows, err := AblationBattery(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +224,8 @@ func TestAblationBattery(t *testing.T) {
 }
 
 func TestMitigation(t *testing.T) {
-	cfg := fastConfig(42)
-	res, err := Mitigation(context.Background(), cfg)
+	spec := fastSpec(42)
+	res, err := Mitigation(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestMitigation(t *testing.T) {
 }
 
 func TestAblationsRejectBadConfig(t *testing.T) {
-	bad := fastConfig(1)
+	bad := fastSpec(1)
 	bad.N = 1
 	if _, err := AblationSolver(context.Background(), bad); err == nil {
 		t.Error("solver ablation accepted bad config")

@@ -11,6 +11,7 @@ import (
 	"nmdetect/internal/core"
 	"nmdetect/internal/metrics"
 	"nmdetect/internal/obs"
+	"nmdetect/internal/scenario"
 )
 
 // AttackSweepRow is one archetype of the detection-accuracy-vs-archetype
@@ -46,53 +47,56 @@ type AttackSweepResult struct {
 	Rows []AttackSweepRow
 }
 
-// sweepArchetype pairs a payload (and optional coordinated strike timing)
-// with its stable row label.
+// sweepArchetype pairs an attack block (and optional coordinated strike
+// timing) with its stable row label.
 type sweepArchetype struct {
 	name    string
-	atk     attack.Attack
+	atk     scenario.Attack
 	strikes []int
 }
 
 // sweepArchetypes is the built-in archetype list: the paper's pricing
 // attacks, the related-work extensions (ramp/delay creep, fabricated DSM
 // shift, false net-metering readings), coordinated strike timing, and the
-// strategic adaptive attacker tuned against tau (the system's effective
-// flagger threshold).
-func sweepArchetypes(tau float64) []sweepArchetype {
-	return []sweepArchetype{
-		{name: "none", atk: attack.None{}},
-		{name: "zero-peak", atk: attack.ZeroWindow{From: 16, To: 17}},
-		{name: "scale-half", atk: attack.ScaleWindow{From: 16, To: 19, Factor: 0.5}},
-		{name: "ramp-evening", atk: attack.Ramp{From: 12, To: 20, Factor: 0.3}},
-		{name: "delay-3h", atk: attack.Delay{Slots: 3}},
-		{name: "invert", atk: attack.Invert{}},
-		{name: "load-shift-noon", atk: attack.LoadShift{From: 10, To: 14, Factor: 0.4}},
-		{name: "false-reading", atk: attack.FalseReading{From: 10, To: 15, MagnitudeKW: 0.8}},
-		{name: "coordinated", atk: attack.ZeroWindow{From: 16, To: 17}, strikes: []int{2, 8, 14, 20}},
-		{name: "adaptive", atk: &attack.Adaptive{Family: attack.ScaleFamily{From: 16, To: 19}, Tau: tau}},
-		{name: "adaptive-theft", atk: &attack.Adaptive{Family: attack.ReadingFamily{From: 10, To: 15, MaxKW: 2}, Tau: tau}},
-	}
+// strategic adaptive attacker tuned against the spec's flagger threshold
+// (over the price channel, and over the reading channel when given a
+// magnitude).
+var sweepArchetypes = []sweepArchetype{
+	{name: "none", atk: scenario.Attack{Kind: "none"}},
+	{name: "zero-peak", atk: scenario.Attack{Kind: "zero", From: 16, To: 17}},
+	{name: "scale-half", atk: scenario.Attack{Kind: "scale", From: 16, To: 19, Factor: 0.5}},
+	{name: "ramp-evening", atk: scenario.Attack{Kind: "ramp", From: 12, To: 20, Factor: 0.3}},
+	{name: "delay-3h", atk: scenario.Attack{Kind: "delay", Slots: 3}},
+	{name: "invert", atk: scenario.Attack{Kind: "invert"}},
+	{name: "load-shift-noon", atk: scenario.Attack{Kind: "load-shift", From: 10, To: 14, Factor: 0.4}},
+	{name: "false-reading", atk: scenario.Attack{Kind: "false-reading", From: 10, To: 15, MagnitudeKW: 0.8}},
+	{name: "coordinated", atk: scenario.Attack{Kind: "zero", From: 16, To: 17}, strikes: []int{2, 8, 14, 20}},
+	{name: "adaptive", atk: scenario.Attack{Kind: "adaptive", From: 16, To: 19}},
+	{name: "adaptive-theft", atk: scenario.Attack{Kind: "adaptive", From: 10, To: 15, MagnitudeKW: 2}},
 }
 
 // AttackSweep measures how detection quality varies across attack
-// archetypes: for each archetype it rebuilds the full system (so channel
+// archetypes: for each archetype it installs the archetype's attack block
+// and strike timing in the spec and rebuilds the full system (so channel
 // calibration sees that archetype's payload — and the adaptive attacker
 // tunes against the detector before calibration), runs the monitored window
 // with the NM-aware detector enforcing, and reports accuracy, realized PAR,
 // inspections and per-episode detection delay.
-func AttackSweep(ctx context.Context, cfg Config) (*AttackSweepResult, error) {
+func AttackSweep(ctx context.Context, spec scenario.Spec) (*AttackSweepResult, error) {
 	defer obs.From(ctx).Span("experiments.attacksweep")()
-	if err := cfg.Validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	tau := cfg.options().FlagTau
 	res := &AttackSweepResult{}
-	for _, arch := range sweepArchetypes(tau) {
-		c := cfg
-		c.Attack = arch.atk
-		c.StrikeSlots = arch.strikes
-		sys, err := core.NewSystem(ctx, c.options())
+	for _, arch := range sweepArchetypes {
+		s := spec
+		s.Attack = arch.atk
+		s.Campaign.StrikeSlots = arch.strikes
+		opts, err := s.CoreOptions()
+		if err != nil {
+			return nil, fmt.Errorf("experiments: archetype %s: %w", arch.name, err)
+		}
+		sys, err := core.NewSystem(ctx, opts)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: archetype %s: %w", arch.name, err)
 		}
@@ -100,7 +104,7 @@ func AttackSweep(ctx context.Context, cfg Config) (*AttackSweepResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: archetype %s: %w", arch.name, err)
 		}
-		results, err := sys.MonitorDays(ctx, sys.Aware, camp, c.MonitorDays, true)
+		results, err := sys.MonitorDays(ctx, sys.Aware, camp, s.Horizon.MonitorDays, true)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: archetype %s: %w", arch.name, err)
 		}
@@ -111,7 +115,7 @@ func AttackSweep(ctx context.Context, cfg Config) (*AttackSweepResult, error) {
 		delays, mean := core.DetectionDelays(results)
 		row := AttackSweepRow{
 			Archetype:      arch.name,
-			Payload:        arch.atk.Name(),
+			Payload:        opts.Attack.Name(),
 			Accuracy:       core.ObservationAccuracy(results),
 			PAR:            par,
 			Inspections:    core.TotalInspections(results),
@@ -127,7 +131,7 @@ func AttackSweep(ctx context.Context, cfg Config) (*AttackSweepResult, error) {
 		if !math.IsNaN(mean) {
 			row.MeanDelay = mean
 		}
-		if ad, ok := arch.atk.(*attack.Adaptive); ok {
+		if ad, ok := opts.Attack.(*attack.Adaptive); ok {
 			if x, tuned := ad.Intensity(); tuned {
 				row.TunedIntensity = x
 			}

@@ -7,50 +7,59 @@ import (
 	"testing"
 	"time"
 
-	"nmdetect/internal/core"
+	"nmdetect/internal/faultinject"
+	"nmdetect/internal/fleet"
+	"nmdetect/internal/scenario"
 	"nmdetect/internal/timeseries"
 )
 
-// fastConfig keeps the experiment integration tests quick.
-func fastConfig(seed uint64) Config {
-	return Config{
-		N:             18,
-		Seed:          seed,
-		BootstrapDays: 6,
-		GameSweeps:    2,
-		MonitorDays:   1,
-		Solver:        core.SolverQMDP,
-	}
+// fastSpec keeps the experiment integration tests quick.
+func fastSpec(seed uint64) scenario.Spec {
+	s := scenario.Default(18, seed)
+	s.Horizon.MonitorDays = 1
+	s.Game.Sweeps = 2
+	s.Detector.Solver = "qmdp"
+	return s
 }
 
-func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := DefaultConfig()
-	bad.N = 1
-	if err := bad.Validate(); err == nil {
-		t.Error("tiny community accepted")
-	}
-	bad = DefaultConfig()
-	bad.BootstrapDays = 1
-	if err := bad.Validate(); err == nil {
-		t.Error("short bootstrap accepted")
-	}
-	bad = DefaultConfig()
-	bad.MonitorDays = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero monitoring accepted")
+// TestEntryPointsRejectInvalidSpec: every entry point validates its spec
+// before any work, so an invalid world fails fast with an error.
+func TestEntryPointsRejectInvalidSpec(t *testing.T) {
+	ctx := context.Background()
+	for name, mutate := range map[string]func(*scenario.Spec){
+		"tiny community":  func(s *scenario.Spec) { s.N = 1 },
+		"short bootstrap": func(s *scenario.Spec) { s.Horizon.BootstrapDays = 1 },
+		"zero monitoring": func(s *scenario.Spec) { s.Horizon.MonitorDays = 0 },
+	} {
+		bad := fastSpec(1)
+		mutate(&bad)
+		for entry, run := range map[string]func() error{
+			"Fig3":        func() error { _, err := Fig3(ctx, bad); return err },
+			"Fig5":        func() error { _, err := Fig5(ctx, bad); return err },
+			"Fig6":        func() error { _, err := Fig6(ctx, bad); return err },
+			"Table1":      func() error { _, err := Table1(ctx, bad); return err },
+			"Robustness":  func() error { _, err := Robustness(ctx, bad, []uint64{1}); return err },
+			"AttackSweep": func() error { _, err := AttackSweep(ctx, bad); return err },
+			"Fleet":       func() error { _, err := Fleet(ctx, bad, fleet.DetectorAware, 1); return err },
+			"FaultSweep": func() error {
+				_, err := FaultSweep(ctx, bad, faultinject.DefaultConfig(1), []float64{0})
+				return err
+			},
+		} {
+			if err := run(); err == nil {
+				t.Errorf("%s accepted a spec with a %s", entry, name)
+			}
+		}
 	}
 }
 
 func TestFig3AndFig4Shapes(t *testing.T) {
-	cfg := fastConfig(42)
-	f3, err := Fig3(context.Background(), cfg)
+	spec := fastSpec(42)
+	f3, err := Fig3(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f4, err := Fig4(context.Background(), cfg)
+	f4, err := Fig4(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,12 +80,12 @@ func TestFig3AndFig4Shapes(t *testing.T) {
 	// claim is asserted on the average across seeds.
 	blindTotal, awareTotal := 0.0, 0.0
 	for _, seed := range []uint64{42, 43, 44, 45} {
-		cfgSeed := fastConfig(seed)
-		b, err := Fig3(context.Background(), cfgSeed)
+		specSeed := fastSpec(seed)
+		b, err := Fig3(context.Background(), specSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := Fig4(context.Background(), cfgSeed)
+		a, err := Fig4(context.Background(), specSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,8 +98,8 @@ func TestFig3AndFig4Shapes(t *testing.T) {
 }
 
 func TestFig5AttackCreatesPeak(t *testing.T) {
-	cfg := fastConfig(42)
-	f5, err := Fig5(context.Background(), cfg)
+	spec := fastSpec(42)
+	f5, err := Fig5(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +118,7 @@ func TestFig5AttackCreatesPeak(t *testing.T) {
 		t.Fatalf("PAR = %v", f5.PAR)
 	}
 	// And the attacked PAR must exceed the clean predicted PARs.
-	f4, err := Fig4(context.Background(), cfg)
+	f4, err := Fig4(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +128,8 @@ func TestFig5AttackCreatesPeak(t *testing.T) {
 }
 
 func TestFig6AwareBeatsBlind(t *testing.T) {
-	cfg := fastConfig(42)
-	f6, err := Fig6(context.Background(), cfg)
+	spec := fastSpec(42)
+	f6, err := Fig6(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +151,8 @@ func TestFig6AwareBeatsBlind(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	cfg := fastConfig(42)
-	t1, err := Table1(context.Background(), cfg)
+	spec := fastSpec(42)
+	t1, err := Table1(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +168,8 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestRobustness(t *testing.T) {
-	cfg := fastConfig(42)
-	res, err := Robustness(context.Background(), cfg, []uint64{42, 43})
+	spec := fastSpec(42)
+	res, err := Robustness(context.Background(), spec, []uint64{42, 43})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +182,7 @@ func TestRobustness(t *testing.T) {
 	if res.Wins < 0 || res.Wins > 2 {
 		t.Fatalf("wins = %d", res.Wins)
 	}
-	if _, err := Robustness(context.Background(), cfg, nil); err == nil {
+	if _, err := Robustness(context.Background(), spec, nil); err == nil {
 		t.Error("empty seed list accepted")
 	}
 }
@@ -187,9 +196,9 @@ func TestRobustness(t *testing.T) {
 // writing: aware accuracies ≈ 0.67–1.00 (mean 0.79) with spread ≈ 0.33
 // across seeds {42, 43, 44}, blind mean 0.51, aware wins 3/3.
 func TestRobustnessSpreadBand(t *testing.T) {
-	cfg := fastConfig(42)
+	spec := fastSpec(42)
 	seeds := []uint64{42, 43, 44}
-	res, err := Robustness(context.Background(), cfg, seeds)
+	res, err := Robustness(context.Background(), spec, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,8 +229,6 @@ func TestRobustnessSpreadBand(t *testing.T) {
 
 func TestRunningAccuracy(t *testing.T) {
 	// Construct via Fig6's helper on synthetic results.
-	cfg := fastConfig(7)
-	_ = cfg
 	got := runningAccuracy(nil)
 	if got != nil {
 		t.Fatal("empty results should yield nil")
@@ -316,11 +323,11 @@ func TestWriteCSV(t *testing.T) {
 
 func TestReportRender(t *testing.T) {
 	rep := &Report{
-		Config: fastConfig(1),
-		Fig3:   &PredictionResult{PAR: 1.9, PriceRMSE: 0.011},
-		Fig4:   &PredictionResult{PAR: 1.7, PriceRMSE: 0.006},
-		Fig5:   &Fig5Result{PAR: 3.7, PeakSlot: 17},
-		Fig6:   &Fig6Result{AwareAccuracy: 0.98, BlindAccuracy: 0.42},
+		Spec: fastSpec(1),
+		Fig3: &PredictionResult{PAR: 1.9, PriceRMSE: 0.011},
+		Fig4: &PredictionResult{PAR: 1.7, PriceRMSE: 0.006},
+		Fig5: &Fig5Result{PAR: 3.7, PeakSlot: 17},
+		Fig6: &Fig6Result{AwareAccuracy: 0.98, BlindAccuracy: 0.42},
 		Table1: &Table1Result{
 			NoDetection: Table1Row{PAR: 2.1},
 			Blind:       Table1Row{PAR: 1.97, Inspections: 2, LaborCost: 1},

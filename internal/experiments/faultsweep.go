@@ -9,6 +9,7 @@ import (
 	"nmdetect/internal/faultinject"
 	"nmdetect/internal/metrics"
 	"nmdetect/internal/obs"
+	"nmdetect/internal/scenario"
 )
 
 // FaultSweepPoint is one point of the fault-rate sweep: the NM-aware
@@ -43,9 +44,10 @@ type FaultSweepResult struct {
 // and reports accuracy, realized PAR and the degradation counters. Scale 0
 // is the fault-free world — by construction it reproduces the Table-1
 // NM-aware row bit for bit, anchoring the sweep to the recorded baseline.
-func FaultSweep(ctx context.Context, cfg Config, base faultinject.Config, scales []float64) (*FaultSweepResult, error) {
+func FaultSweep(ctx context.Context, spec scenario.Spec, base faultinject.Config, scales []float64) (*FaultSweepResult, error) {
 	defer obs.From(ctx).Span("experiments.faultsweep")()
-	if err := cfg.Validate(); err != nil {
+	opts, err := lower(spec)
+	if err != nil {
 		return nil, err
 	}
 	if err := base.Validate(); err != nil {
@@ -58,12 +60,14 @@ func FaultSweep(ctx context.Context, cfg Config, base faultinject.Config, scales
 	sort.Float64s(sorted)
 	res := &FaultSweepResult{Base: base}
 	for _, scale := range sorted {
-		c := cfg
-		c.Faults = base.Scale(scale)
-		if err := c.Faults.Validate(); err != nil {
+		// A scaled plan is not a spec value (a spec's faults block is keyed
+		// by the spec seed), so it replaces the lowered plan directly.
+		o := opts
+		o.Community.Faults = base.Scale(scale)
+		if err := o.Community.Faults.Validate(); err != nil {
 			return nil, fmt.Errorf("experiments: scale %v: %w", scale, err)
 		}
-		sys, err := core.NewSystem(ctx, c.options())
+		sys, err := core.NewSystem(ctx, o)
 		if err != nil {
 			return nil, err
 		}
@@ -71,7 +75,7 @@ func FaultSweep(ctx context.Context, cfg Config, base faultinject.Config, scales
 		if err != nil {
 			return nil, err
 		}
-		results, err := sys.MonitorDays(ctx, sys.Aware, camp, c.MonitorDays, true)
+		results, err := sys.MonitorDays(ctx, sys.Aware, camp, spec.Horizon.MonitorDays, true)
 		if err != nil {
 			return nil, err
 		}

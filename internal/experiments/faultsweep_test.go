@@ -9,9 +9,9 @@ import (
 )
 
 func TestFaultSweepZeroScaleMatchesBaseline(t *testing.T) {
-	cfg := fastConfig(42)
-	base := faultinject.DefaultConfig(cfg.Seed)
-	sweep, err := FaultSweep(context.Background(), cfg, base, []float64{0, 1})
+	spec := fastSpec(42)
+	base := faultinject.DefaultConfig(spec.Seed)
+	sweep, err := FaultSweep(context.Background(), spec, base, []float64{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestFaultSweepZeroScaleMatchesBaseline(t *testing.T) {
 
 	// The anchor: scale 0 is the fault-free world, so the sweep's first
 	// point must reproduce the Table-1 NM-aware row exactly.
-	t1, err := Table1(context.Background(), cfg)
+	t1, err := Table1(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +50,11 @@ func TestFaultSweepZeroScaleMatchesBaseline(t *testing.T) {
 }
 
 func TestFaultSweepValidation(t *testing.T) {
-	cfg := fastConfig(42)
-	if _, err := FaultSweep(context.Background(), cfg, faultinject.Config{}, nil); err == nil {
+	spec := fastSpec(42)
+	if _, err := FaultSweep(context.Background(), spec, faultinject.Config{}, nil); err == nil {
 		t.Error("empty scale list accepted")
 	}
-	if _, err := FaultSweep(context.Background(), cfg, faultinject.Config{DropoutRate: 2}, []float64{0}); err == nil {
+	if _, err := FaultSweep(context.Background(), spec, faultinject.Config{DropoutRate: 2}, []float64{0}); err == nil {
 		t.Error("invalid base config accepted")
 	}
 }

@@ -2,37 +2,30 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
 	"nmdetect/internal/fleet"
 	"nmdetect/internal/obs"
+	"nmdetect/internal/scenario"
 )
 
-// Fleet runs the harness configuration as a multi-community fleet:
-// `communities` independent communities of cfg.N meters each, seeded from
-// cfg.Seed by label derivation, monitored for cfg.MonitorDays with the
-// chosen detector (fleet.DetectorAware or fleet.DetectorBlind) and
+// Fleet runs the scenario as a multi-community fleet: the spec's fleet
+// width of independent communities of spec.N meters each, seeded from
+// spec.Seed by label derivation, monitored for the spec's monitoring window
+// with the chosen detector (fleet.DetectorAware or fleet.DetectorBlind) and
 // enforcement on, and aggregated into a fleet report. fleetWorkers bounds
 // the fleet-level fan-out and — like every Workers knob — never affects
 // results.
-func Fleet(ctx context.Context, cfg Config, communities int, detector string, fleetWorkers int) (*fleet.Report, error) {
-	if err := cfg.Validate(); err != nil {
+func Fleet(ctx context.Context, spec scenario.Spec, detector string, fleetWorkers int) (*fleet.Report, error) {
+	if err := spec.Validate(); err != nil {
 		return nil, err
-	}
-	if communities < 1 {
-		return nil, fmt.Errorf("experiments: fleet of %d communities, need at least 1", communities)
 	}
 	sink := obs.From(ctx)
 	defer sink.Span("experiments.fleet")()
-	fc := fleet.Config{
-		Communities: communities,
-		Size:        cfg.N,
-		BaseSeed:    cfg.Seed,
-		Base:        cfg.options(),
-		Detector:    detector,
-		Days:        cfg.MonitorDays,
-		Enforce:     true,
-		Workers:     fleetWorkers,
+	fc, err := spec.FleetConfig()
+	if err != nil {
+		return nil, err
 	}
+	fc.Detector = detector
+	fc.Workers = fleetWorkers
 	return fleet.Run(ctx, fc)
 }

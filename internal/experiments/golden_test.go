@@ -9,7 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"nmdetect/internal/core"
+	"nmdetect/internal/scenario"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json from the current implementation")
@@ -29,42 +29,40 @@ type goldenResults struct {
 	Table1        Table1Result
 }
 
-// goldenConfig is the fixed seed-42 community the golden file records. Any
+// goldenSpec is the fixed seed-42 community the golden file records. Any
 // change here invalidates testdata/golden.json — regenerate with -update and
 // justify the diff in review.
-func goldenConfig() Config {
-	return Config{
-		N:             16,
-		Seed:          42,
-		BootstrapDays: 4,
-		GameSweeps:    2,
-		MonitorDays:   1,
-		Solver:        core.SolverQMDP,
-	}
+func goldenSpec() scenario.Spec {
+	s := scenario.Default(16, 42)
+	s.Horizon.BootstrapDays = 4
+	s.Horizon.MonitorDays = 1
+	s.Game.Sweeps = 2
+	s.Detector.Solver = "qmdp"
+	return s
 }
 
 func computeGolden(t *testing.T) goldenResults {
 	t.Helper()
 	ctx := context.Background()
-	cfg := goldenConfig()
+	spec := goldenSpec()
 
-	f3, err := Fig3(ctx, cfg)
+	f3, err := Fig3(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f4, err := Fig4(ctx, cfg)
+	f4, err := Fig4(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f5, err := Fig5(ctx, cfg)
+	f5, err := Fig5(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f6, err := Fig6(ctx, cfg)
+	f6, err := Fig6(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := Table1(ctx, cfg)
+	tab, err := Table1(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

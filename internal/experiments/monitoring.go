@@ -8,6 +8,7 @@ import (
 	"nmdetect/internal/core"
 	"nmdetect/internal/metrics"
 	"nmdetect/internal/obs"
+	"nmdetect/internal/scenario"
 	"nmdetect/internal/timeseries"
 )
 
@@ -26,13 +27,15 @@ type Fig6Result struct {
 // Fig6 reproduces Figure 6: both detector variants monitor the same seeded
 // world with their inspections enforced (as deployed), and their per-slot
 // state estimates are scored against the true hacked-count buckets.
-func Fig6(ctx context.Context, cfg Config) (*Fig6Result, error) {
+func Fig6(ctx context.Context, spec scenario.Spec) (*Fig6Result, error) {
 	defer obs.From(ctx).Span("experiments.fig6")()
-	if err := cfg.Validate(); err != nil {
+	opts, err := lower(spec)
+	if err != nil {
 		return nil, err
 	}
+	days := spec.Horizon.MonitorDays
 	run := func(aware bool) ([]*community.MonitorDayResult, error) {
-		sys, err := core.NewSystem(ctx, cfg.options())
+		sys, err := core.NewSystem(ctx, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -44,7 +47,7 @@ func Fig6(ctx context.Context, cfg Config) (*Fig6Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return sys.MonitorDays(ctx, kit, camp, cfg.MonitorDays, true)
+		return sys.MonitorDays(ctx, kit, camp, days, true)
 	}
 	awareRes, err := run(true)
 	if err != nil {
@@ -59,7 +62,7 @@ func Fig6(ctx context.Context, cfg Config) (*Fig6Result, error) {
 		BlindAccuracy: core.ObservationAccuracy(blindRes),
 		AwareBySlot:   runningAccuracy(awareRes),
 		BlindBySlot:   runningAccuracy(blindRes),
-		Slots:         cfg.MonitorDays * 24,
+		Slots:         days * 24,
 	}
 	return out, nil
 }
@@ -101,20 +104,22 @@ type Table1Result struct {
 // no detection, NM-blind detection with enforcement, and NM-aware detection
 // with enforcement. Reported are the realized grid PAR and the labor cost
 // (inspection count, normalized to the blind detector).
-func Table1(ctx context.Context, cfg Config) (*Table1Result, error) {
+func Table1(ctx context.Context, spec scenario.Spec) (*Table1Result, error) {
 	defer obs.From(ctx).Span("experiments.table1")()
-	if err := cfg.Validate(); err != nil {
+	opts, err := lower(spec)
+	if err != nil {
 		return nil, err
 	}
+	days := spec.Horizon.MonitorDays
 
 	// No detection: simulate the campaign with no inspections.
-	noDet, err := runNoDetection(ctx, cfg)
+	noDet, err := runNoDetection(ctx, opts, days)
 	if err != nil {
 		return nil, err
 	}
 
 	runKit := func(aware bool) (Table1Row, error) {
-		sys, err := core.NewSystem(ctx, cfg.options())
+		sys, err := core.NewSystem(ctx, opts)
 		if err != nil {
 			return Table1Row{}, err
 		}
@@ -126,7 +131,7 @@ func Table1(ctx context.Context, cfg Config) (*Table1Result, error) {
 		if err != nil {
 			return Table1Row{}, err
 		}
-		results, err := sys.MonitorDays(ctx, kit, camp, cfg.MonitorDays, true)
+		results, err := sys.MonitorDays(ctx, kit, camp, days, true)
 		if err != nil {
 			return Table1Row{}, err
 		}
@@ -165,8 +170,8 @@ func Table1(ctx context.Context, cfg Config) (*Table1Result, error) {
 
 // runNoDetection simulates the monitored window with the campaign active and
 // nobody inspecting.
-func runNoDetection(ctx context.Context, cfg Config) (Table1Row, error) {
-	sys, err := core.NewSystem(ctx, cfg.options())
+func runNoDetection(ctx context.Context, opts core.Options, days int) (Table1Row, error) {
+	sys, err := core.NewSystem(ctx, opts)
 	if err != nil {
 		return Table1Row{}, err
 	}
@@ -175,7 +180,7 @@ func runNoDetection(ctx context.Context, cfg Config) (Table1Row, error) {
 		return Table1Row{}, err
 	}
 	var load timeseries.Series
-	for d := 0; d < cfg.MonitorDays; d++ {
+	for d := 0; d < days; d++ {
 		env, err := sys.Engine.PrepareDay(ctx, true)
 		if err != nil {
 			return Table1Row{}, err
@@ -208,8 +213,8 @@ type RobustnessResult struct {
 // Robustness reruns the Figure-6 comparison across seeds — the ordering
 // (aware ≥ blind) is the reproduction's stability claim; the absolute values
 // move with the weather realizations.
-func Robustness(ctx context.Context, cfg Config, seeds []uint64) (*RobustnessResult, error) {
-	if err := cfg.Validate(); err != nil {
+func Robustness(ctx context.Context, spec scenario.Spec, seeds []uint64) (*RobustnessResult, error) {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	if len(seeds) == 0 {
@@ -217,9 +222,9 @@ func Robustness(ctx context.Context, cfg Config, seeds []uint64) (*RobustnessRes
 	}
 	res := &RobustnessResult{Seeds: seeds}
 	for _, seed := range seeds {
-		c := cfg
-		c.Seed = seed
-		f6, err := Fig6(ctx, c)
+		s := spec
+		s.Seed = seed
+		f6, err := Fig6(ctx, s)
 		if err != nil {
 			return nil, err
 		}

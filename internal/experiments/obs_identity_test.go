@@ -19,7 +19,7 @@ import (
 // full pipeline underneath: engine bootstrap (game solves, CE, tariff
 // process), day preparation and an attacked simulate-day.
 func TestInstrumentationBitwiseNonIntrusive(t *testing.T) {
-	cfg := fastConfig(7)
+	spec := fastSpec(7)
 
 	run := func(instrumented bool) []byte {
 		t.Helper()
@@ -35,7 +35,7 @@ func TestInstrumentationBitwiseNonIntrusive(t *testing.T) {
 			}()
 			ctx = obs.With(ctx, sink)
 		}
-		res, err := Fig5(ctx, cfg)
+		res, err := Fig5(ctx, spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,13 +5,16 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"nmdetect/internal/scenario"
 )
 
 // Report renders the full evaluation as a self-contained markdown document —
 // the machine-written counterpart of EXPERIMENTS.md, regenerated by
 // `nmrepro -report`.
 type Report struct {
-	Config   Config
+	// Spec is the scenario every experiment of the report ran.
+	Spec     scenario.Spec
 	Fig3     *PredictionResult
 	Fig4     *PredictionResult
 	Fig5     *Fig5Result
@@ -67,7 +70,7 @@ func (r *Report) Render(w io.Writer) error {
 
 	p("# Reproduction report\n\n")
 	p("Generated %s · community N=%d · seed %d · %d bootstrap days · solver %s\n\n",
-		r.Generated.Format("2006-01-02 15:04"), r.Config.N, r.Config.Seed, r.Config.BootstrapDays, r.Config.Solver)
+		r.Generated.Format("2006-01-02 15:04"), r.Spec.N, r.Spec.Seed, r.Spec.Horizon.BootstrapDays, r.Spec.Detector.Solver)
 
 	p("## Figures\n\n")
 	p("| Experiment | Quantity | Paper | Measured |\n|---|---|---|---|\n")

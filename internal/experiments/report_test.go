@@ -16,10 +16,10 @@ func testReport() *Report {
 		day[h] = 1 + float64(h%3)
 	}
 	return &Report{
-		Config: fastConfig(42),
-		Fig3:   &PredictionResult{Received: day, Predicted: day, PredictedLoad: day, PAR: 1.47, PriceRMSE: 0.01},
-		Fig4:   &PredictionResult{Received: day, Predicted: day, PredictedLoad: day, PAR: 1.3986, PriceRMSE: 0.008},
-		Fig5:   &Fig5Result{Published: day, Manipulated: day, AttackedLoad: day, PAR: 1.9037, PeakSlot: 16},
+		Spec: fastSpec(42),
+		Fig3: &PredictionResult{Received: day, Predicted: day, PredictedLoad: day, PAR: 1.47, PriceRMSE: 0.01},
+		Fig4: &PredictionResult{Received: day, Predicted: day, PredictedLoad: day, PAR: 1.3986, PriceRMSE: 0.008},
+		Fig5: &Fig5Result{Published: day, Manipulated: day, AttackedLoad: day, PAR: 1.9037, PeakSlot: 16},
 		Fig6: &Fig6Result{
 			AwareAccuracy: 0.9514, BlindAccuracy: 0.6595,
 			AwareBySlot: []float64{1, 0.95}, BlindBySlot: []float64{1, 0.66}, Slots: 48,
@@ -58,8 +58,8 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	if !back.Generated.Equal(rep.Generated) {
 		t.Errorf("timestamp changed: %v != %v", back.Generated, rep.Generated)
 	}
-	if back.Config.N != rep.Config.N || back.Config.Seed != rep.Config.Seed {
-		t.Errorf("config changed: %+v", back.Config)
+	if back.Spec.ID() != rep.Spec.ID() {
+		t.Errorf("spec changed: %+v", back.Spec)
 	}
 }
 

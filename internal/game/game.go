@@ -111,14 +111,6 @@ type Config struct {
 	// solve concurrently under Workers; per-shard CE streams are derived
 	// from (outer sweep, shard), so the fan-out schedule never affects bits.
 	Shards int
-	// OuterSweeps bounds the outer inter-shard Jacobi sweeps of a
-	// hierarchical solve (Shards > 1). 0 selects the default of 2: one
-	// uncoupled-warm-start pass refined by one coupled pass.
-	OuterSweeps int
-	// OuterTol is the convergence tolerance (kW, max-norm) on the per-shard
-	// aggregate trading change between consecutive outer sweeps. 0 selects
-	// Tol.
-	OuterTol float64
 	// ExternalY is a fixed per-slot trading aggregate from outside this
 	// community that every customer's best response prices against, exactly
 	// as if it were another (frozen) player's trading. nil — the default —
@@ -173,12 +165,6 @@ func (c Config) Validate() error {
 	if c.Shards < 0 {
 		return fmt.Errorf("game: negative shard count %d", c.Shards)
 	}
-	if c.OuterSweeps < 0 {
-		return fmt.Errorf("game: negative outer sweep bound %d", c.OuterSweeps)
-	}
-	if math.IsNaN(c.OuterTol) || math.IsInf(c.OuterTol, 0) || c.OuterTol < 0 {
-		return fmt.Errorf("game: outer tolerance %v must be finite and non-negative", c.OuterTol)
-	}
 	if !watchdog.AllFinite(c.ExternalY) {
 		return errors.New("game: external trading aggregate has non-finite entries")
 	}
@@ -210,8 +196,8 @@ type Result struct {
 	// performed; 0 for flat solves (Shards <= 1).
 	Outer int
 	// Converged reports whether the trading vector stabilized within Tol
-	// (flat solves) or the per-shard aggregates stabilized within OuterTol
-	// (hierarchical solves).
+	// (flat solves) or the per-shard aggregates stabilized within Tol
+	// between outer sweeps (hierarchical solves).
 	Converged bool
 	// Skipped and Resolved count active-set gate outcomes over the whole
 	// solve, retried sweeps included (both zero when ActiveTol == 0). A

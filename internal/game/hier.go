@@ -46,6 +46,12 @@ func ShardPlan(n, shards int) []Range {
 	return plan
 }
 
+// outerSweeps bounds the outer inter-shard Jacobi sweeps of a hierarchical
+// solve: one uncoupled-warm-start pass refined by one coupled pass. The
+// outer loop converges when no shard's aggregate trading moved by Tol or
+// more (kW, max-norm) between consecutive outer sweeps.
+const outerSweeps = 2
+
 // solveHierarchical is the outer tier of a sharded solve (Config.Shards > 1):
 // the community is partitioned by ShardPlan, each shard runs the flat solver
 // on its own sub-community (the inner tier — Gauss-Seidel or block-Jacobi,
@@ -59,7 +65,7 @@ func ShardPlan(n, shards int) []Range {
 // shard) — derivation never advances the parent — and write only their own
 // results slot; aggregates are recomputed in shard index order after a full
 // barrier. The solution is therefore a function of the configuration knobs
-// (Shards, OuterSweeps, OuterTol, JacobiBlock, ActiveTol) and never of
+// (Shards, Tol, JacobiBlock, ActiveTol) and never of
 // Workers or the fan-out schedule.
 func solveHierarchical(ctx context.Context, ws *Workspace, customers []*household.Customer, prices []timeseries.Series, pv [][]float64, cfg Config, src *rng.Source) (*Result, error) {
 	sink := obs.From(ctx)
@@ -73,15 +79,6 @@ func solveHierarchical(ctx context.Context, ws *Workspace, customers []*househol
 		ws = NewWorkspace()
 	}
 	children := ws.shardChildren(shards)
-
-	outerMax := cfg.OuterSweeps
-	if outerMax < 1 {
-		outerMax = 2
-	}
-	outerTol := cfg.OuterTol
-	if outerTol <= 0 {
-		outerTol = cfg.Tol
-	}
 
 	// Warm-start aggregates from the same greedy placement the flat solver
 	// initializes from: the first outer sweep already prices each shard
@@ -122,7 +119,7 @@ func solveHierarchical(ctx context.Context, ws *Workspace, customers []*househol
 	converged := false
 	outerDone := 0
 	var skipped, resolved int64
-	for sweep := 0; sweep < outerMax; sweep++ {
+	for sweep := 0; sweep < outerSweeps; sweep++ {
 		outerDone = sweep + 1
 		for t := 0; t < h; t++ {
 			sum := 0.0
@@ -144,7 +141,7 @@ func solveHierarchical(ctx context.Context, ws *Workspace, customers []*househol
 				ext[t] = totalAgg[t] - agg[s][t]
 			}
 			scfg := cfg
-			scfg.Shards, scfg.OuterSweeps, scfg.OuterTol = 0, 0, 0
+			scfg.Shards = 0
 			scfg.ExternalY = ext
 			var spv [][]float64
 			if pv != nil {
@@ -192,7 +189,7 @@ func solveHierarchical(ctx context.Context, ws *Workspace, customers []*househol
 		}
 		sink.Count("game.outer.sweeps", 1)
 		sink.Observe("game.outer.residual", maxMove)
-		if maxMove < outerTol {
+		if maxMove < cfg.Tol {
 			converged = true
 			break
 		}

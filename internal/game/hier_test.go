@@ -116,7 +116,6 @@ func TestSolveHierarchicalResultShape(t *testing.T) {
 	customers, pv, cfg := jacobiCommunity(t)
 	price := variedPrice()
 	cfg.Shards = 3
-	cfg.OuterSweeps = 2
 
 	res, err := Solve(context.Background(), nil, customers, price, pv, cfg, rng.New(7))
 	if err != nil {

@@ -56,10 +56,11 @@ func TestActiveTolValidateAndLowering(t *testing.T) {
 	if got := s.CommunityConfig().GameActiveTol; got != 0.05 {
 		t.Errorf("CommunityConfig.GameActiveTol = %v, want 0.05", got)
 	}
-	if got := s.GameConfig(true).ActiveTol; got != 0.05 {
-		t.Errorf("GameConfig.ActiveTol = %v, want 0.05", got)
+	opts, err := s.CoreOptions()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ec := s.ExperimentsConfig(); ec.ActiveTol != 0.05 {
-		t.Errorf("ExperimentsConfig.ActiveTol = %v, want 0.05", ec.ActiveTol)
+	if got := opts.Community.GameActiveTol; got != 0.05 {
+		t.Errorf("CoreOptions community GameActiveTol = %v, want 0.05", got)
 	}
 }

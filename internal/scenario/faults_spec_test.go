@@ -37,9 +37,12 @@ func TestFaultsBlockLowering(t *testing.T) {
 		cc.Faults.PVOutageRate != 0.02 || cc.Faults.PVOutageSlots != 3 {
 		t.Fatalf("fault lowering lost values: %+v", cc.Faults)
 	}
-	ec := spec.ExperimentsConfig()
-	if ec.Faults != cc.Faults {
-		t.Fatalf("experiments lowering diverged: %+v vs %+v", ec.Faults, cc.Faults)
+	opts, err := spec.CoreOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.Community.Faults != cc.Faults {
+		t.Fatalf("CoreOptions lowering diverged: %+v vs %+v", opts.Community.Faults, cc.Faults)
 	}
 }
 

@@ -1,18 +1,21 @@
 // Package scenario is the single declarative description of an experiment:
 // community size and seed, tariff, PV/weather noise, attack campaign,
 // detector knobs, game-solver budgets and the simulation horizon, all in one
-// JSON-(de)serializable Spec. Every front end (cmd/nmrepro, cmd/nmsim,
-// cmd/nmdetect, the examples) and the figure harness build their
-// package-level configurations from a Spec through the builder methods, so
-// one file describes a run end to end and a content hash (ID) names it.
+// JSON-(de)serializable Spec. Every front end (the cmd/ commands, the
+// examples) and the figure harness (package experiments, which takes a Spec
+// as its only input) build their package-level configurations from a Spec
+// through the builder methods, so one file describes a run end to end and a
+// content hash (ID) names it.
 //
 // Contract (DESIGN.md "Scenario spec & cancellation contract"):
 //
 //   - Determinism: a Spec plus its Seed fully determines every result bit.
-//     The builders lower the Spec into community.Config, game.Config,
-//     core.Options and experiments.Config without introducing state of their
-//     own, and Default(n, seed) reproduces the historical defaults exactly —
-//     Preset specs regenerate the recorded seed-42 outputs byte for byte.
+//     The builders lower the Spec into community.Config, core.Options and
+//     fleet.Config — the only lowering there is — without introducing state
+//     of their own (the game solver configuration follows from the
+//     community one through community.Engine.GameConfig), and
+//     Default(n, seed) reproduces the package defaults exactly — Preset
+//     specs regenerate the recorded seed-42 outputs byte for byte.
 //   - Hash stability: ID() hashes the canonical JSON encoding with the one
 //     execution-only field (Game.Workers) zeroed, because Workers never
 //     affects results. Game.JacobiBlock DOES select a (deterministic)
@@ -33,11 +36,8 @@ import (
 	"nmdetect/internal/attack"
 	"nmdetect/internal/community"
 	"nmdetect/internal/core"
-	"nmdetect/internal/experiments"
 	"nmdetect/internal/faultinject"
 	"nmdetect/internal/fleet"
-	"nmdetect/internal/game"
-	"nmdetect/internal/tariff"
 )
 
 // Horizon fixes the simulated time structure of a run.
@@ -68,9 +68,7 @@ type PV struct {
 	// forecast; 0 makes forecasts exact (the paper's assumption).
 	ForecastSigma float64 `json:"forecast_sigma"`
 	// MeasurementNoise is the per-meter, per-slot load measurement noise in
-	// kW. 0 means exactly zero noise — unlike the zero-is-default override
-	// convention of experiments.Config, a Spec states every value
-	// explicitly.
+	// kW. 0 means exactly zero noise: a Spec states every value explicitly.
 	MeasurementNoise float64 `json:"measurement_noise"`
 }
 
@@ -79,8 +77,7 @@ type PV struct {
 // and "adaptive" tunes a price payload against the detector threshold before
 // the campaign starts. Every field added after the original four is
 // omitempty, so pre-existing scenario content IDs are unchanged, and the
-// struct stays comparable (scalar fields only — the experiments lowering
-// compares it with ==).
+// struct stays comparable (scalar fields only).
 type Attack struct {
 	// Kind is one of "zero" (ZeroWindow), "scale" (ScaleWindow), "ramp"
 	// (Ramp), "delay" (Delay), "load-shift" (LoadShift), "false-reading"
@@ -275,9 +272,8 @@ type Spec struct {
 
 // Default returns the paper's scenario for a community of n meters: the
 // values every recorded experiment was produced with. It mirrors
-// community.DefaultConfig, core.DefaultOptions and experiments.DefaultConfig
-// — the builder methods of a Default spec reproduce those configurations
-// field for field.
+// community.DefaultConfig and core.DefaultOptions — the builder methods of a
+// Default spec reproduce those configurations field for field.
 func Default(n int, seed uint64) Spec {
 	return Spec{
 		N:    n,
@@ -314,7 +310,7 @@ func nonFinite(vs ...float64) bool {
 }
 
 // Validate checks every field range. A valid Spec lowers into valid
-// community, game, core and experiments configurations.
+// community, core and fleet configurations.
 func (s Spec) Validate() error {
 	if s.N < 3 {
 		return fmt.Errorf("scenario: community size %d too small (need >= 3)", s.N)
@@ -534,19 +530,6 @@ func (s Spec) NewEngine() (*community.Engine, error) {
 	return community.NewEngine(s.CommunityConfig())
 }
 
-// GameConfig lowers the spec into the scheduling-game solver configuration —
-// the same lowering community.Engine.GameConfig performs, so detectors built
-// from the spec reproduce the engine's solves exactly.
-func (s Spec) GameConfig(netMetering bool) game.Config {
-	cfg := game.DefaultConfig(tariff.Quadratic{W: s.Tariff.SellBackW}, netMetering)
-	cfg.MaxSweeps = s.Game.Sweeps
-	cfg.Workers = s.Game.Workers
-	cfg.JacobiBlock = s.Game.JacobiBlock
-	cfg.ActiveTol = s.Game.ActiveTol
-	cfg.Shards = s.Game.Shards
-	return cfg
-}
-
 // CoreOptions lowers the spec into the full-pipeline options of package core.
 // The attack payload is built with BuildAttack; an invalid kind surfaces
 // there (and in Validate), so CoreOptions itself stays infallible for valid
@@ -620,69 +603,6 @@ func (s Spec) FleetConfig() (fleet.Config, error) {
 		Days:        s.Horizon.MonitorDays,
 		Enforce:     true,
 	}, nil
-}
-
-// ExperimentsConfig lowers the spec into the figure-harness configuration.
-// The harness's override fields follow a zero-is-default convention, so each
-// spec value maps to an override only when it differs from the default that
-// a zero selects — a Default/Preset spec therefore lowers to exactly
-// experiments.DefaultConfig() (the recorded seed-42 outputs stay byte
-// identical), and any deviation flows through as an explicit override.
-func (s Spec) ExperimentsConfig() experiments.Config {
-	cfg := experiments.Config{
-		N:             s.N,
-		Seed:          s.Seed,
-		BootstrapDays: s.Horizon.BootstrapDays,
-		GameSweeps:    s.Game.Sweeps,
-		MonitorDays:   s.Horizon.MonitorDays,
-		Solver:        core.PolicySolver(s.Detector.Solver),
-		Workers:       s.Game.Workers,
-		JacobiBlock:   s.Game.JacobiBlock,
-		ActiveTol:     s.Game.ActiveTol,
-		Shards:        s.Game.Shards,
-	}
-	if s.Detector.FlagTau != 0.5 {
-		cfg.FlagTau = s.Detector.FlagTau
-	}
-	if s.Detector.DeltaPAR != 0.05 {
-		cfg.DeltaPAR = s.Detector.DeltaPAR
-	}
-	if s.Detector.CalibFrac != 0.4 {
-		cfg.CalibFrac = s.Detector.CalibFrac
-	}
-	if s.Tariff.SellBackW != 1.5 {
-		cfg.SellBackW = s.Tariff.SellBackW
-	}
-	cfg.SolarForecastSigma = s.PV.ForecastSigma // default 0 is already a no-op
-	switch {
-	case s.PV.MeasurementNoise == 0.05: // the community default: no override
-	case s.PV.MeasurementNoise == 0:
-		cfg.MeasurementNoise = -1 // the harness's exactly-zero sentinel
-	default:
-		cfg.MeasurementNoise = s.PV.MeasurementNoise
-	}
-	if s.Campaign.HackProb != 0.10 {
-		cfg.HackProb = s.Campaign.HackProb
-	}
-	if s.Campaign.BatchLo != max(1, s.N/20) {
-		cfg.BatchLo = s.Campaign.BatchLo
-	}
-	if s.Campaign.BatchHi != max(2, s.N/8) {
-		cfg.BatchHi = s.Campaign.BatchHi
-	}
-	if s.Attack != (Attack{Kind: "zero", From: 16, To: 17}) {
-		// BuildAttack cannot fail for a validated spec.
-		if atk, err := s.BuildAttack(); err == nil {
-			cfg.Attack = atk
-		}
-	}
-	if len(s.Campaign.StrikeSlots) > 0 {
-		cfg.StrikeSlots = append([]int(nil), s.Campaign.StrikeSlots...)
-	}
-	if s.Faults != nil {
-		cfg.Faults = s.Faults.lower(s.Seed)
-	}
-	return cfg
 }
 
 // Load decodes a Spec from JSON. Unknown fields are rejected so typos in a

@@ -9,9 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"nmdetect/internal/attack"
 	"nmdetect/internal/community"
 	"nmdetect/internal/core"
-	"nmdetect/internal/experiments"
 )
 
 func TestRoundTripPreservesSpecAndID(t *testing.T) {
@@ -66,12 +66,14 @@ func TestIDContentSemantics(t *testing.T) {
 	}
 }
 
+// TestDefaultSpecLowersToPackageDefaults pins the one lowering against the
+// package defaults: a Default spec lowers to exactly community.DefaultConfig
+// and core.DefaultOptions.
 func TestDefaultSpecLowersToPackageDefaults(t *testing.T) {
 	spec := Default(500, 42)
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-
 	if got, want := spec.CommunityConfig(), community.DefaultConfig(500, 42); !reflect.DeepEqual(got, want) {
 		t.Errorf("CommunityConfig diverges from community.DefaultConfig:\n got %+v\nwant %+v", got, want)
 	}
@@ -85,13 +87,14 @@ func TestDefaultSpecLowersToPackageDefaults(t *testing.T) {
 }
 
 func TestPresetsReproduceRecordedHarnessConfig(t *testing.T) {
-	// The recorded seed-42 figures were produced with
-	// experiments.DefaultConfig(); every flat preset must lower to exactly
-	// that so `nmrepro -scenario fig6` stays byte-identical to the archive.
-	// Two deliberate exceptions: scale500 is the same world with the
-	// hierarchical solver's shard count set, differing in nothing else, and
-	// serve-smoke is the tiny CI daemon world (8 customers, short bootstrap,
-	// QMDP), pinned field-by-field here so it cannot drift silently.
+	// The recorded seed-42 figures were produced with the package defaults,
+	// core.DefaultOptions(500, 42); every flat preset (fig3 … table1) must
+	// lower to exactly that so `nmrepro -scenario fig6` stays byte-identical
+	// to the archive. Two deliberate exceptions: scale500 is the same world
+	// with the hierarchical solver's shard count set, differing in nothing
+	// else, and serve-smoke is the tiny CI daemon world (8 customers, short
+	// bootstrap, QMDP), pinned field by field here so it cannot drift
+	// silently.
 	for _, name := range PresetNames() {
 		spec, err := Preset(name)
 		if err != nil {
@@ -103,37 +106,61 @@ func TestPresetsReproduceRecordedHarnessConfig(t *testing.T) {
 		if err := spec.Validate(); err != nil {
 			t.Errorf("Preset(%q) invalid: %v", name, err)
 		}
-		want := experiments.DefaultConfig()
+		want := core.DefaultOptions(500, 42)
 		switch name {
 		case "scale500":
-			want.Shards = 8
+			want.Community.Shards = 8
 		case "serve-smoke":
-			want.N = 8
+			want = core.DefaultOptions(8, 42)
 			want.BootstrapDays = 4
-			want.MonitorDays = 3
-			want.GameSweeps = 2
+			want.Community.GameSweeps = 2
 			want.Solver = core.SolverQMDP
+			if spec.Horizon.MonitorDays != 3 {
+				t.Errorf("serve-smoke monitors %d days, want 3", spec.Horizon.MonitorDays)
+			}
 		}
-		if got := spec.ExperimentsConfig(); !reflect.DeepEqual(got, want) {
-			t.Errorf("Preset(%q).ExperimentsConfig diverges:\n got %+v\nwant %+v", name, got, want)
+		got, err := spec.CoreOptions()
+		if err != nil {
+			t.Fatalf("Preset(%q): %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Preset(%q).CoreOptions diverges from the package defaults:\n got %+v\nwant %+v", name, got, want)
 		}
 	}
 }
 
-func TestExperimentsConfigOverrides(t *testing.T) {
+// TestCoreOptionsOverrides: a spec states every value explicitly, so
+// non-default values — including exactly-zero measurement noise, which has
+// no sentinel — flow through the lowering unchanged.
+func TestCoreOptionsOverrides(t *testing.T) {
 	spec := Default(500, 42)
-	spec.PV.MeasurementNoise = 0 // exactly-zero noise -> -1 sentinel
+	spec.PV.MeasurementNoise = 0
 	spec.Detector.FlagTau = 0.7
 	spec.Tariff.SellBackW = 2.0
-	cfg := spec.ExperimentsConfig()
-	if cfg.MeasurementNoise != -1 {
-		t.Errorf("zero measurement noise should lower to the -1 sentinel, got %v", cfg.MeasurementNoise)
+	spec.Horizon.BaselineDays = 4
+	spec.Attack = Attack{Kind: "scale", From: 10, To: 14, Factor: 0.5}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	if cfg.FlagTau != 0.7 || cfg.SellBackW != 2.0 {
-		t.Errorf("overrides not forwarded: %+v", cfg)
+	opts, err := spec.CoreOptions()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("lowered config invalid: %v", err)
+	if got := opts.Community.MeasurementNoise; got != 0 {
+		t.Errorf("zero measurement noise lowered to %v", got)
+	}
+	if opts.FlagTau != 0.7 || opts.Community.Tariff.W != 2.0 || opts.BaselineDays != 4 {
+		t.Errorf("overrides not forwarded: tau %v, W %v, baseline days %d",
+			opts.FlagTau, opts.Community.Tariff.W, opts.BaselineDays)
+	}
+	if want := (attack.ScaleWindow{From: 10, To: 14, Factor: 0.5}); opts.Attack != want {
+		t.Errorf("attack lowered to %#v, want %#v", opts.Attack, want)
+	}
+	if !reflect.DeepEqual(opts.Community, spec.CommunityConfig()) {
+		t.Error("CoreOptions and CommunityConfig disagree on the community")
+	}
+	if err := opts.Validate(); err != nil {
+		t.Errorf("lowered options invalid: %v", err)
 	}
 }
 

@@ -47,12 +47,6 @@ func TestShardsRoundTripAndLowering(t *testing.T) {
 	if cc := spec.CommunityConfig(); cc.Shards != 8 {
 		t.Fatalf("CommunityConfig.Shards = %d, want 8", cc.Shards)
 	}
-	if gc := spec.GameConfig(true); gc.Shards != 8 {
-		t.Fatalf("GameConfig.Shards = %d, want 8", gc.Shards)
-	}
-	if ec := spec.ExperimentsConfig(); ec.Shards != 8 {
-		t.Fatalf("ExperimentsConfig.Shards = %d, want 8", ec.Shards)
-	}
 	opts, err := spec.CoreOptions()
 	if err != nil {
 		t.Fatal(err)
