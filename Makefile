@@ -1,11 +1,12 @@
 # Build / verification entry points. `make check` is the verification gate:
-# gofmt (any unformatted file fails it), go vet, the library panic lint (scripts/panic_lint.sh) and -race tests over
-# every package that spawns or feeds the shared worker pool — including the
-# cancellation tests, which assert that aborted solves leak no pool tokens.
+# gofmt (any unformatted file fails it), go vet, the library panic lint (scripts/panic_lint.sh), the dead-export
+# audit (scripts/deadexports.go) and -race tests over every package that
+# spawns or feeds the shared worker pool — including the cancellation tests,
+# which assert that aborted solves leak no pool tokens.
 
 GO ?= go
 
-.PHONY: build test fmt-check vet race check panic-lint cover bench-parallel bench-hotpath bench-obs-overhead bench-scale bench-scale-smoke bench-fleet bench-fleet-smoke bench-supervise bench-supervise-smoke bench-serve bench-serve-smoke
+.PHONY: build test fmt-check vet race check panic-lint dead-exports cover bench-parallel bench-hotpath bench-obs-overhead bench-scale bench-scale-smoke bench-fleet bench-fleet-smoke bench-supervise bench-supervise-smoke bench-serve bench-serve-smoke
 
 build:
 	$(GO) build ./...
@@ -26,7 +27,12 @@ race:
 panic-lint:
 	sh scripts/panic_lint.sh
 
-check: fmt-check vet panic-lint race
+# Fails on an exported identifier that only _test.go files reference, unless
+# it implements an interface or is on the script's keep-list with a reason.
+dead-exports:
+	$(GO) run scripts/deadexports.go
+
+check: fmt-check vet panic-lint dead-exports race
 
 # Statement-coverage floor (>=70%) for the hot-path solver packages
 # (internal/dpsched, internal/game, internal/ceopt, internal/meterstate), the

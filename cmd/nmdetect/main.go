@@ -153,7 +153,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	results, err := sys.MonitorDaysCheckpointed(ctx, kit, camp, spec.Horizon.MonitorDays, !*noEnf, *ckpt, *ckptK)
+	runner, err := sys.NewRunner(kit, camp, !*noEnf, *ckpt, *ckptK)
+	if err != nil {
+		return err
+	}
+	results, err := runner.Run(ctx, spec.Horizon.MonitorDays)
 	if err != nil {
 		return err
 	}

@@ -9,11 +9,6 @@
 // battery. A storage *trajectory* b over the horizon therefore determines the
 // trading vector y given l and θ — which is exactly how the cross-entropy
 // optimizer searches: it samples trajectories and derives the implied trades.
-//
-// Beyond the paper's minimal model this package adds the physical limits a
-// real deployment has (charge/discharge rate caps and round-trip efficiency)
-// so trajectories can be validated; the defaults used by the experiments keep
-// efficiency at 1.0 to stay faithful to Eqn 1.
 package battery
 
 import (
@@ -25,33 +20,17 @@ import (
 type Battery struct {
 	// Capacity is Bₙ, the maximum stored energy in kWh.
 	Capacity float64
-	// MaxCharge bounds the per-slot increase of the stored energy (kWh per
-	// slot). Zero means unlimited.
-	MaxCharge float64
-	// MaxDischarge bounds the per-slot decrease (kWh per slot). Zero means
-	// unlimited.
-	MaxDischarge float64
-	// Efficiency is the round-trip efficiency in (0, 1]; energy entering the
-	// battery is multiplied by it. The paper's Eqn 1 corresponds to 1.0.
-	Efficiency float64
 }
 
-// New returns a battery with the given capacity, unlimited rates and perfect
-// efficiency — the paper's configuration.
+// New returns a battery with the given capacity.
 func New(capacity float64) Battery {
-	return Battery{Capacity: capacity, Efficiency: 1.0}
+	return Battery{Capacity: capacity}
 }
 
 // Validate checks the parameter ranges.
 func (b Battery) Validate() error {
 	if b.Capacity < 0 {
 		return fmt.Errorf("battery: negative capacity %v", b.Capacity)
-	}
-	if b.MaxCharge < 0 || b.MaxDischarge < 0 {
-		return fmt.Errorf("battery: negative rate limit (charge %v, discharge %v)", b.MaxCharge, b.MaxDischarge)
-	}
-	if b.Efficiency <= 0 || b.Efficiency > 1 {
-		return fmt.Errorf("battery: efficiency %v out of (0,1]", b.Efficiency)
 	}
 	return nil
 }
@@ -60,7 +39,8 @@ func (b Battery) Validate() error {
 var ErrTrajectory = errors.New("battery: invalid storage trajectory")
 
 // CheckTrajectory validates a storage trajectory b[0..H] (H+1 points: state
-// before each slot plus the terminal state) against capacity and rate limits.
+// before each slot plus the terminal state) against the capacity bounds
+// 0 ≤ bₙʰ ≤ Bₙ.
 func (b Battery) CheckTrajectory(traj []float64) error {
 	if len(traj) < 2 {
 		return fmt.Errorf("%w: need at least 2 points, got %d", ErrTrajectory, len(traj))
@@ -68,15 +48,6 @@ func (b Battery) CheckTrajectory(traj []float64) error {
 	for i, v := range traj {
 		if v < -1e-9 || v > b.Capacity+1e-9 {
 			return fmt.Errorf("%w: b[%d]=%v outside [0, %v]", ErrTrajectory, i, v, b.Capacity)
-		}
-	}
-	for i := 1; i < len(traj); i++ {
-		delta := traj[i] - traj[i-1]
-		if b.MaxCharge > 0 && delta > b.MaxCharge+1e-9 {
-			return fmt.Errorf("%w: charge %v at step %d exceeds limit %v", ErrTrajectory, delta, i, b.MaxCharge)
-		}
-		if b.MaxDischarge > 0 && -delta > b.MaxDischarge+1e-9 {
-			return fmt.Errorf("%w: discharge %v at step %d exceeds limit %v", ErrTrajectory, -delta, i, b.MaxDischarge)
 		}
 	}
 	return nil
@@ -102,29 +73,20 @@ func ImpliedTrading(traj, load, gen []float64) ([]float64, error) {
 	return y, nil
 }
 
-// Step advances the stored energy by one slot under Eqn 1, clamping to the
-// battery's capacity and rate limits and applying charge efficiency. It
-// returns the new state and the energy actually absorbed/released (after
-// clamping), which callers use to rebalance the grid trade.
+// Step advances the stored energy by one slot under Eqn 1, clamping to
+// [0, Capacity]. It returns the new state and the energy actually
+// absorbed/released (after clamping), which callers use to rebalance the
+// grid trade.
 func (b Battery) Step(state, net float64) (newState, absorbed float64) {
 	// net > 0 means surplus energy is available to charge; net < 0 means the
 	// household wants to discharge.
 	delta := net
 	if delta > 0 {
-		delta *= b.Efficiency
-		if b.MaxCharge > 0 && delta > b.MaxCharge {
-			delta = b.MaxCharge
-		}
 		if state+delta > b.Capacity {
 			delta = b.Capacity - state
 		}
-	} else {
-		if b.MaxDischarge > 0 && -delta > b.MaxDischarge {
-			delta = -b.MaxDischarge
-		}
-		if state+delta < 0 {
-			delta = -state
-		}
+	} else if state+delta < 0 {
+		delta = -state
 	}
 	return state + delta, delta
 }

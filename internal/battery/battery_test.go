@@ -11,7 +11,7 @@ import (
 
 func TestNewDefaults(t *testing.T) {
 	b := New(13.5)
-	if b.Capacity != 13.5 || b.Efficiency != 1.0 || b.MaxCharge != 0 || b.MaxDischarge != 0 {
+	if b.Capacity != 13.5 {
 		t.Fatalf("New = %+v", b)
 	}
 	if err := b.Validate(); err != nil {
@@ -21,11 +21,7 @@ func TestNewDefaults(t *testing.T) {
 
 func TestValidateRejects(t *testing.T) {
 	cases := []Battery{
-		{Capacity: -1, Efficiency: 1},
-		{Capacity: 1, Efficiency: 0},
-		{Capacity: 1, Efficiency: 1.5},
-		{Capacity: 1, Efficiency: 1, MaxCharge: -1},
-		{Capacity: 1, Efficiency: 1, MaxDischarge: -2},
+		{Capacity: -1},
 	}
 	for i, b := range cases {
 		if err := b.Validate(); err == nil {
@@ -42,7 +38,7 @@ func TestCheckTrajectoryOK(t *testing.T) {
 }
 
 func TestCheckTrajectoryViolations(t *testing.T) {
-	b := Battery{Capacity: 10, MaxCharge: 4, MaxDischarge: 4, Efficiency: 1}
+	b := New(10)
 	cases := []struct {
 		name string
 		traj []float64
@@ -50,8 +46,6 @@ func TestCheckTrajectoryViolations(t *testing.T) {
 		{"too short", []float64{1}},
 		{"negative state", []float64{0, -1}},
 		{"over capacity", []float64{0, 11}},
-		{"charge rate", []float64{0, 5}},
-		{"discharge rate", []float64{10, 5}},
 	}
 	for _, c := range cases {
 		if err := b.CheckTrajectory(c.traj); !errors.Is(err, ErrTrajectory) {
@@ -150,29 +144,11 @@ func TestStepClampsToEmpty(t *testing.T) {
 	}
 }
 
-func TestStepRateLimits(t *testing.T) {
-	b := Battery{Capacity: 100, MaxCharge: 2, MaxDischarge: 3, Efficiency: 1}
-	if state, _ := b.Step(10, 5); state != 12 {
-		t.Fatalf("charge-limited state = %v", state)
-	}
-	if state, _ := b.Step(10, -5); state != 7 {
-		t.Fatalf("discharge-limited state = %v", state)
-	}
-}
-
-func TestStepEfficiency(t *testing.T) {
-	b := Battery{Capacity: 100, Efficiency: 0.9}
-	state, absorbed := b.Step(0, 10)
-	if math.Abs(state-9) > 1e-12 || math.Abs(absorbed-9) > 1e-12 {
-		t.Fatalf("Step with efficiency = %v, %v", state, absorbed)
-	}
-}
-
 func TestStepInvariantProperty(t *testing.T) {
 	// Property: state always remains within [0, Capacity].
 	s := rng.New(6)
 	f := func() bool {
-		b := Battery{Capacity: s.Range(1, 20), MaxCharge: s.Range(0, 5), MaxDischarge: s.Range(0, 5), Efficiency: s.Range(0.5, 1.0)}
+		b := New(s.Range(1, 20))
 		state := s.Range(0, b.Capacity)
 		for i := 0; i < 50; i++ {
 			state, _ = b.Step(state, s.Range(-10, 10))

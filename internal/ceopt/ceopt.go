@@ -24,11 +24,6 @@ import (
 	"nmdetect/internal/watchdog"
 )
 
-// ErrDiverged re-exports the shared watchdog sentinel: a Minimize call that
-// returns an error wrapping it saw its sampling density leave the finite
-// region (typically a NaN-producing objective) and exhausted its retries.
-var ErrDiverged = watchdog.ErrDiverged
-
 // Objective evaluates a candidate point. Lower is better.
 type Objective func(x []float64) float64
 
@@ -141,9 +136,6 @@ type Workspace struct {
 	pop               []sample
 	sorter            popSorter
 }
-
-// NewWorkspace returns an empty workspace; buffers are allocated lazily.
-func NewWorkspace() *Workspace { return &Workspace{} }
 
 // grow returns buf resized to n, reallocating only when capacity is
 // insufficient. Contents are unspecified; callers overwrite.

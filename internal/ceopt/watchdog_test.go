@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nmdetect/internal/rng"
+	"nmdetect/internal/watchdog"
 )
 
 func TestMinimizeDivergesOnNaNObjective(t *testing.T) {
@@ -16,7 +17,7 @@ func TestMinimizeDivergesOnNaNObjective(t *testing.T) {
 	opts.Samples = 10
 	opts.MaxIter = 20
 	_, err := Minimize(context.Background(), f, lo, hi, nil, rng.New(3), opts)
-	if !errors.Is(err, ErrDiverged) {
+	if !errors.Is(err, watchdog.ErrDiverged) {
 		t.Fatalf("want ErrDiverged, got %v", err)
 	}
 }
@@ -28,7 +29,7 @@ func TestMinimizeDivergesOnUnboundedObjective(t *testing.T) {
 	opts.Samples = 10
 	opts.MaxIter = 20
 	_, err := Minimize(context.Background(), f, lo, hi, nil, rng.New(3), opts)
-	if !errors.Is(err, ErrDiverged) {
+	if !errors.Is(err, watchdog.ErrDiverged) {
 		t.Fatalf("want ErrDiverged, got %v", err)
 	}
 }

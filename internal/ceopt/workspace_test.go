@@ -22,7 +22,7 @@ func TestWorkspaceMinimizeBitwiseIdentity(t *testing.T) {
 	}
 	problems := []problem{{6, 1.0}, {24, 0.3}, {3, 2.0}, {24, 0.3}}
 
-	ws := NewWorkspace()
+	ws := &Workspace{}
 	var firstX []float64
 	for k, p := range problems {
 		f := func(x []float64) float64 {

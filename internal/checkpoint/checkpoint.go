@@ -3,9 +3,11 @@
 // (magic, format version, payload kind) followed by one payload value. The
 // header is checked before any payload bytes are decoded, so a stale or
 // foreign file fails loudly with ErrIncompatible instead of producing a
-// half-decoded state. Writes go to a temp file in the target directory and
-// are renamed into place, so a crash mid-write never corrupts the previous
-// checkpoint.
+// half-decoded state. Writes go through WriteAtomic — a temp file in the
+// target directory, renamed into place — so a crash mid-write never corrupts
+// the previous checkpoint. WriteAtomic is also the durable write for the
+// other files a run leaves behind (serve's session.json, the fleet batch
+// report).
 //
 // gob (not JSON) is deliberate: checkpointed state legally contains NaN —
 // dropped meter readings are recorded as NaN sentinels — and encoding/json
@@ -16,6 +18,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -54,29 +57,49 @@ var fsyncDir = func(dir string) error {
 	return d.Sync()
 }
 
-// Save atomically writes state to path. kind names the payload type and must
-// match the kind passed to Load. The temp file is fsynced before the rename
-// and the parent directory after it, so once Save returns nil the checkpoint
-// survives a crash or power loss.
+// Save atomically writes state to path (see WriteAtomic). kind names the
+// payload type and must match the kind passed to Load. Once Save returns nil
+// the checkpoint survives a crash or power loss.
 func Save(path, kind string, state any) error {
 	start := time.Now()
+	err := WriteAtomic(path, func(w io.Writer) error {
+		enc := gob.NewEncoder(w)
+		if err := enc.Encode(header{Magic: magic, Version: Version, Kind: kind}); err != nil {
+			return fmt.Errorf("checkpoint: encode header: %w", err)
+		}
+		if err := enc.Encode(state); err != nil {
+			return fmt.Errorf("checkpoint: encode state: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if sink := obs.Default(); sink != nil {
+		sink.Count("checkpoint.saves", 1)
+		sink.Observe("checkpoint.save_seconds", time.Since(start).Seconds())
+	}
+	return nil
+}
+
+// WriteAtomic durably replaces path with what write produces. It writes a
+// temp file in path's directory, fsyncs it, renames it over path and then
+// fsyncs the directory, so a crash never leaves a torn file at path and,
+// once WriteAtomic returns nil, the new content survives a crash or power
+// loss. On any failure the temp file is removed. Errors from write are
+// returned unchanged.
+func WriteAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	tmpName := tmp.Name()
-	// On any failure remove the temp file; after a successful rename the
-	// removal is a no-op on a nonexistent name.
+	// After a successful rename the removal is a no-op on a nonexistent name.
 	defer os.Remove(tmpName)
-	enc := gob.NewEncoder(tmp)
-	if err := enc.Encode(header{Magic: magic, Version: Version, Kind: kind}); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
-		return fmt.Errorf("checkpoint: encode header: %w", err)
-	}
-	if err := enc.Encode(state); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: encode state: %w", err)
+		return err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -89,14 +112,10 @@ func Save(path, kind string, state any) error {
 		return fmt.Errorf("checkpoint: commit: %w", err)
 	}
 	// The rename is only durable once the directory entry itself is on
-	// disk; without this a crash can lose a checkpoint Save already
+	// disk; without this a crash can lose a file WriteAtomic already
 	// reported as written.
 	if err := fsyncDir(dir); err != nil {
 		return fmt.Errorf("checkpoint: sync dir: %w", err)
-	}
-	if sink := obs.Default(); sink != nil {
-		sink.Count("checkpoint.saves", 1)
-		sink.Observe("checkpoint.save_seconds", time.Since(start).Seconds())
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -127,5 +128,45 @@ func TestSaveFsyncsParentDir(t *testing.T) {
 	err := Save(path, "test-kind", &payload{Day: 2})
 	if err == nil || !strings.Contains(err.Error(), "injected fsync failure") {
 		t.Fatalf("Save with failing dir fsync = %v, want wrapped injected error", err)
+	}
+}
+
+// TestWriteAtomicFailures: a failing writer leaves neither the target nor a
+// temp file behind, and a failing directory fsync is reported, not swallowed.
+func TestWriteAtomicFailures(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "report.json")
+
+	errWrite := errors.New("injected write failure")
+	err := WriteAtomic(path, func(w io.Writer) error {
+		if _, err := w.Write([]byte("partial")); err != nil {
+			return err
+		}
+		return errWrite
+	})
+	if !errors.Is(err, errWrite) {
+		t.Fatalf("WriteAtomic with failing writer = %v, want the writer's error", err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("failed write left %v (err %v), want an empty directory", entries, err)
+	}
+
+	orig := fsyncDir
+	defer func() { fsyncDir = orig }()
+	errSync := errors.New("injected fsync failure")
+	fsyncDir = func(string) error { return errSync }
+	err = WriteAtomic(path, func(w io.Writer) error {
+		_, err := w.Write([]byte("{}\n"))
+		return err
+	})
+	if !errors.Is(err, errSync) {
+		t.Fatalf("WriteAtomic with failing dir fsync = %v, want the fsync error", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "report.json" {
+		t.Fatalf("directory holds %v, want only the renamed target", entries)
 	}
 }

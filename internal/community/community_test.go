@@ -2,6 +2,7 @@ package community
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -53,8 +54,8 @@ func TestBootstrapAccumulatesHistory(t *testing.T) {
 	if e.History().Len() != 72 {
 		t.Fatalf("history length = %d", e.History().Len())
 	}
-	if e.Day() != 3 {
-		t.Fatalf("day = %d", e.Day())
+	if e.day != 3 {
+		t.Fatalf("day = %d", e.day)
 	}
 	if err := e.History().Validate(); err != nil {
 		t.Fatal(err)
@@ -235,8 +236,8 @@ func TestChannelRatesAwareBeatsBlind(t *testing.T) {
 	if e.History().Len() != 4*24 {
 		t.Fatalf("calibration perturbed history: %d", e.History().Len())
 	}
-	if e.Day() != 4 {
-		t.Fatalf("calibration perturbed day: %d", e.Day())
+	if e.day != 4 {
+		t.Fatalf("calibration perturbed day: %d", e.day)
 	}
 }
 
@@ -419,12 +420,11 @@ func TestWeatherIsCommunityWide(t *testing.T) {
 }
 
 func TestDemandForecastBasis(t *testing.T) {
-	// With the SVR demand basis enabled the engine must still run end to end
-	// and publish positive prices, both during cold start (falls back to
-	// yesterday's load) and after enough history accumulates.
+	// The utility prices the next day from yesterday's realized community
+	// load: the published price is Formation.Publish over exactly that basis
+	// and the day's renewable forecast, on the day's price-noise stream.
 	cfg := DefaultConfig(10, 55)
 	cfg.GameSweeps = 2
-	cfg.UseDemandForecast = true
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -432,39 +432,26 @@ func TestDemandForecastBasis(t *testing.T) {
 	if err := e.Bootstrap(context.Background(), 5, true); err != nil {
 		t.Fatal(err)
 	}
+	basis, day := e.lastLoad.Clone(), e.day
+	hist := e.History()
+	for h, v := range hist.Demand[hist.Len()-24:] {
+		if basis[h] != v {
+			t.Fatalf("slot %d: basis %v is not yesterday's load %v", h, basis[h], v)
+		}
+	}
 	env, err := e.PrepareDay(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, err := cfg.Formation.Publish(basis, env.RenewableForecast, cfg.N, true,
+		e.src.Derive(fmt.Sprintf("day-%d", day)).Derive("price-noise"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for h, p := range env.Published {
-		if p <= 0 {
-			t.Fatalf("slot %d price %v", h, p)
+		if p <= 0 || p != want[h] {
+			t.Fatalf("slot %d price %v, want %v from yesterday's load", h, p, want[h])
 		}
-	}
-	// The forecast basis must differ from the naive one (different price):
-	// rebuild the same world without the forecaster and compare.
-	cfg2 := cfg
-	cfg2.UseDemandForecast = false
-	e2, err := NewEngine(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.Bootstrap(context.Background(), 5, true); err != nil {
-		t.Fatal(err)
-	}
-	env2, err := e2.PrepareDay(context.Background(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for h := range env.Published {
-		if env.Published[h] != env2.Published[h] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("demand forecaster had no effect on the published price")
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 
 	"nmdetect/internal/attack"
 	"nmdetect/internal/faultinject"
-	"nmdetect/internal/forecast"
 	"nmdetect/internal/game"
 	"nmdetect/internal/household"
 	"nmdetect/internal/meterstate"
@@ -64,11 +63,6 @@ type Config struct {
 	MeasurementNoise float64
 	// GameSweeps bounds best-response sweeps per solve (speed knob).
 	GameSweeps int
-	// UseDemandForecast upgrades the utility's demand basis from
-	// "yesterday's realized load" to an SVR demand forecaster retrained on
-	// the accumulated history (package forecast). Off by default: the
-	// paper-scale experiments were calibrated against the simple basis.
-	UseDemandForecast bool
 	// Workers is the engine-wide concurrency budget: per-customer PV
 	// generation, the clean/attacked solve pair of SimulateDay and the game
 	// solver's intra-block fan-out all request workers from the shared
@@ -236,12 +230,6 @@ func (e *Engine) Customers() []*household.Customer { return e.customers }
 // History returns the accumulated (price, renewable, demand) history.
 func (e *Engine) History() tariff.History { return e.hist }
 
-// Day returns the number of simulated days.
-func (e *Engine) Day() int { return e.day }
-
-// Config returns the engine configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // ControllerSeed is the seed of every smart controller's cross-entropy
 // optimizer. Household controllers are deterministic functions of the price
 // they receive: the engine's own solves and any detector's expected-profile
@@ -345,7 +333,7 @@ func (e *Engine) PrepareDay(ctx context.Context, netMetering bool) (*DayEnvironm
 	if env.RenewableForecast, err = solar.Aggregate(toSeries(env.PVForecast)); err != nil {
 		return nil, err
 	}
-	env.Published, err = e.cfg.Formation.Publish(e.demandBasis(), env.RenewableForecast, e.cfg.N, netMetering, daySrc.Derive("price-noise"))
+	env.Published, err = e.cfg.Formation.Publish(e.lastLoad, env.RenewableForecast, e.cfg.N, netMetering, daySrc.Derive("price-noise"))
 	if err != nil {
 		return nil, err
 	}
@@ -357,28 +345,6 @@ func (e *Engine) PrepareDay(ctx context.Context, netMetering bool) (*DayEnvironm
 		env.Published = e.lastPublished.Clone()
 	}
 	return env, nil
-}
-
-// demandBasis returns the utility's demand forecast for pricing: yesterday's
-// realized load by default, or the SVR demand forecaster's prediction when
-// enabled and enough history has accumulated.
-func (e *Engine) demandBasis() timeseries.Series {
-	if !e.cfg.UseDemandForecast {
-		return e.lastLoad
-	}
-	opts := forecast.DefaultOptions()
-	if e.hist.Len() < (opts.LagDays+1)*24 {
-		return e.lastLoad // cold start: not enough history to train
-	}
-	df, err := forecast.TrainDemandForecaster(e.hist, opts)
-	if err != nil {
-		return e.lastLoad
-	}
-	pred, err := df.PredictDay(e.hist)
-	if err != nil {
-		return e.lastLoad
-	}
-	return pred
 }
 
 func toSeries(rows [][]float64) []timeseries.Series {

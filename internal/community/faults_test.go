@@ -107,7 +107,7 @@ func TestReadingFaultsMeasurementPlaneOnly(t *testing.T) {
 			}
 			for n := range faulty[d].RealizedMeter {
 				got := faulty[d].RealizedMeter[n][h]
-				if df.Missing(n, h) {
+				if math.IsNaN(df.Readings[n][h]) {
 					sawNaN = true
 					if !math.IsNaN(got) {
 						t.Fatalf("dropped reading day %d meter %d slot %d is %v, want NaN", d, n, h, got)

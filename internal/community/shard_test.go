@@ -29,7 +29,7 @@ func shardEngine(t *testing.T, n int, seed uint64, shards int) *Engine {
 func runDays(t *testing.T, e *Engine, days int) []byte {
 	t.Helper()
 	ctx := context.Background()
-	camp, err := attack.NewCampaign(e.Config().N, 0.4, 1, 3, attack.ZeroWindow{From: 16, To: 17})
+	camp, err := attack.NewCampaign(e.cfg.N, 0.4, 1, 3, attack.ZeroWindow{From: 16, To: 17})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-
 	"nmdetect/internal/attack"
 	"nmdetect/internal/checkpoint"
 	"nmdetect/internal/community"
@@ -33,22 +31,6 @@ type MonitorState struct {
 	Kit community.KitState
 	// Results holds the completed days' monitoring results.
 	Results []*community.MonitorDayResult
-}
-
-// MonitorDaysCheckpointed is MonitorDays with kill/resume support: it writes
-// a checkpoint to path after every `every` completed days (and at the end),
-// and, if path already holds a checkpoint, restores it and continues from
-// the recorded day instead of starting over. An empty path degrades to plain
-// MonitorDays. A resumed run returns the full result slice — recorded days
-// plus freshly monitored ones — identical to what an uninterrupted run would
-// have produced. The restore guards and day loop live in Runner; this is a
-// thin wrapper kept for the established call sites.
-func (s *System) MonitorDaysCheckpointed(ctx context.Context, kit *community.DetectorKit, camp *attack.Campaign, days int, enforce bool, path string, every int) ([]*community.MonitorDayResult, error) {
-	r, err := s.NewRunner(kit, camp, enforce, path, every)
-	if err != nil {
-		return nil, err
-	}
-	return r.Run(ctx, days)
 }
 
 func (s *System) saveMonitor(path string, kit *community.DetectorKit, camp *attack.Campaign, enforce bool, results []*community.MonitorDayResult) error {

@@ -61,7 +61,11 @@ func TestMonitorResumeShardedMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sysB.MonitorDaysCheckpointed(killCtx, sysB.Aware, campB, days, true, path, killAt); err == nil {
+	runB, err := sysB.NewRunner(sysB.Aware, campB, true, path, killAt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runB.Run(killCtx, days); err == nil {
 		t.Log("killed run completed before cancellation")
 	}
 	var st MonitorState
@@ -81,7 +85,11 @@ func TestMonitorResumeShardedMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := sysC.MonitorDaysCheckpointed(ctx, sysC.Aware, campC, days, true, path, killAt)
+	runC, err := sysC.NewRunner(sysC.Aware, campC, true, path, killAt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := runC.Run(ctx, days)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,11 @@ func TestMonitorResumeMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sysB.MonitorDaysCheckpointed(killCtx, sysB.Aware, campB, days, true, path, killAt); err == nil {
+	runB, err := sysB.NewRunner(sysB.Aware, campB, true, path, killAt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runB.Run(killCtx, days); err == nil {
 		// The run outraced the watcher; the day-60 checkpoint is on disk and
 		// the resume below degenerates to replaying it. Very unlikely, but
 		// not a failure of the contract under test.
@@ -97,7 +101,11 @@ func TestMonitorResumeMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := sysC.MonitorDaysCheckpointed(ctx, sysC.Aware, campC, days, true, path, killAt)
+	runC, err := sysC.NewRunner(sysC.Aware, campC, true, path, killAt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := runC.Run(ctx, days)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +129,11 @@ func TestMonitorCheckpointGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	if _, err := sys.MonitorDaysCheckpointed(ctx, sys.Aware, camp, 2, true, path, 1); err != nil {
+	run, err := sys.NewRunner(sys.Aware, camp, true, path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run.Run(ctx, 2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -139,7 +151,11 @@ func TestMonitorCheckpointGuards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = sys2.MonitorDaysCheckpointed(ctx, kit, camp2, days, enforce, path, 1)
+		run2, err := sys2.NewRunner(kit, camp2, enforce, path, 1)
+		if err != nil {
+			return err
+		}
+		_, err = run2.Run(ctx, days)
 		return err
 	}
 	if err := resume(sys.Blind, 4, true); err == nil {

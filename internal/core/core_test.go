@@ -61,8 +61,8 @@ func TestNewSystemBuildsBothKits(t *testing.T) {
 		t.Fatalf("aware fp %v not below blind fp %v", sys.AwareFP, sys.BlindFP)
 	}
 	// Bootstrap (4) plus baseline-learning days (2).
-	if sys.Engine.Day() != 6 {
-		t.Fatalf("engine day = %d after bootstrap+baseline", sys.Engine.Day())
+	if day := sys.Engine.State().Day; day != 6 {
+		t.Fatalf("engine day = %d after bootstrap+baseline", day)
 	}
 }
 

@@ -12,11 +12,11 @@ import (
 // Runner is the reusable per-community monitoring unit: one built System
 // with a chosen detector kit and attack campaign, advanced one monitored day
 // at a time, with an optional checkpoint file (the core.MonitorState format)
-// as its hand-off/resume representation. MonitorDays and
-// MonitorDaysCheckpointed are thin wrappers over a Runner, and the fleet
-// orchestrator (internal/fleet) drives one Runner per community from a
-// shared day loop — both paths execute the identical per-day unit, which is
-// what makes a one-community fleet bit-for-bit equal to the direct path.
+// as its hand-off/resume representation. MonitorDays and cmd/nmdetect run one
+// Runner to the horizon, and the fleet orchestrator (internal/fleet) drives
+// one Runner per community from a shared day loop — both paths execute the
+// identical per-day unit, which is what makes a one-community fleet
+// bit-for-bit equal to the direct path.
 type Runner struct {
 	sys     *System
 	kit     *community.DetectorKit
@@ -115,7 +115,9 @@ func (r *Runner) CheckpointDue(done, days int) bool {
 // the configured cadence (and at the end). The context is checked before
 // every day in addition to the per-solve granularity inside; days completed
 // before a cancellation are not returned but — when checkpointing — stay
-// resumable from the last save.
+// resumable from the last save. A resumed run returns the full result slice
+// — restored days plus freshly monitored ones — identical to what an
+// uninterrupted run would have produced.
 func (r *Runner) Run(ctx context.Context, days int) ([]*community.MonitorDayResult, error) {
 	if days < 1 {
 		return nil, fmt.Errorf("core: days %d must be positive", days)

@@ -329,11 +329,6 @@ func TestLongTermDetectorLifecycle(t *testing.T) {
 	if d.Steps == 0 || d.Inspections == 0 {
 		t.Fatalf("counters wrong: %+v", d)
 	}
-
-	d.Reset()
-	if d.MAPBucket() != 0 {
-		t.Fatal("Reset did not restore the clean belief")
-	}
 }
 
 func TestNewLongTermValidation(t *testing.T) {
@@ -420,9 +415,9 @@ func TestLongTermBeliefIsCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := d.Belief()
-	b[0] = -99
-	if d.Belief()[0] == -99 {
-		t.Fatal("Belief returned internal state")
+	st := d.State()
+	st.Belief[0] = -99
+	if d.State().Belief[0] == -99 {
+		t.Fatal("State returned the internal belief")
 	}
 }

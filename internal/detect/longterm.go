@@ -297,22 +297,9 @@ func (d *LongTerm) Policy() pomdp.Policy { return d.policy }
 // Model exposes the calibrated POMDP model.
 func (d *LongTerm) Model() *pomdp.Model { return d.model }
 
-// Belief returns a copy of the current belief.
-func (d *LongTerm) Belief() pomdp.Belief {
-	b := make(pomdp.Belief, len(d.belief))
-	copy(b, d.belief)
-	return b
-}
-
 // MAPBucket returns the detector's current point estimate of the hacked-count
 // bucket.
 func (d *LongTerm) MAPBucket() int { return d.belief.MAP() }
-
-// Reset restores the initial belief (e.g. after an external repair).
-func (d *LongTerm) Reset() {
-	d.belief = pomdp.PointBelief(d.model.NumStates, 0)
-	d.lastAct = ActionContinue
-}
 
 // LongTermState is a serializable snapshot of the detector's mutable state
 // (belief, pending action, and counters), captured by State and reinstated by

@@ -153,7 +153,7 @@ func TestSchedulePropertyMatchesBruteForce(t *testing.T) {
 	const cases = 500
 	const horizon = 8
 	src := rng.New(20260805)
-	ws := NewWorkspace() // reused across every case: persistence must not leak
+	ws := &Workspace{} // reused across every case: persistence must not leak
 
 	feasible, infeasible := 0, 0
 	for k := 0; k < cases; k++ {
@@ -229,7 +229,7 @@ func TestScheduleAllLoadMatchesScheduleAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := NewWorkspace()
+	ws := &Workspace{}
 	for trial := 0; trial < 3; trial++ { // reuse across trials must not drift
 		got, err := ws.ScheduleAllLoad(apps, 12, makeCost)
 		if err != nil {

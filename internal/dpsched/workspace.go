@@ -36,10 +36,6 @@ type Workspace struct {
 	sched []float64
 }
 
-// NewWorkspace returns an empty workspace. Buffers are allocated lazily on
-// first use and reused afterwards.
-func NewWorkspace() *Workspace { return &Workspace{} }
-
 // growFloats returns buf resized to n, reallocating only when capacity is
 // insufficient. Contents are unspecified; callers overwrite.
 func growFloats(buf []float64, n int) []float64 {

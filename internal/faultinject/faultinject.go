@@ -136,24 +136,6 @@ type DayFaults struct {
 	PVOutage []Window
 }
 
-// Missing reports whether meter n's reading at slot h is lost.
-func (d *DayFaults) Missing(n, h int) bool { return math.IsNaN(d.Readings[n][h]) }
-
-// CountFaults returns the number of missing and spiked readings in the plan.
-func (d *DayFaults) CountFaults() (missing, spiked int) {
-	for _, row := range d.Readings {
-		for _, v := range row {
-			switch {
-			case math.IsNaN(v):
-				missing++
-			case v != 0:
-				spiked++
-			}
-		}
-	}
-	return missing, spiked
-}
-
 // Plan generates per-day fault realizations from a validated configuration.
 // It is stateless: Day(d, n) is a pure function of (Config, d, n), so plans
 // may be regenerated freely (checkpoint resume, clean/attacked replay).
@@ -168,9 +150,6 @@ func NewPlan(cfg Config) (*Plan, error) {
 	}
 	return &Plan{cfg: cfg}, nil
 }
-
-// Config returns the plan's configuration.
-func (p *Plan) Config() Config { return p.cfg }
 
 // Day draws the fault realization for absolute day index `day` over n meters.
 // Derivation order is fixed, so the realization is deterministic.

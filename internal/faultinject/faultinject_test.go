@@ -100,7 +100,7 @@ func TestPlanRatesRealized(t *testing.T) {
 	var missing, spiked, total int
 	for day := 0; day < 20; day++ {
 		df := p.Day(day, 50)
-		m, s := df.CountFaults()
+		m, s := countFaults(df)
 		missing += m
 		spiked += s
 		total += 50 * 24
@@ -137,7 +137,7 @@ func TestZeroConfigPlanInjectsNothing(t *testing.T) {
 		if df.StalePrice {
 			t.Fatal("zero config produced stale price")
 		}
-		m, s := df.CountFaults()
+		m, s := countFaults(df)
 		if m != 0 || s != 0 {
 			t.Fatalf("zero config produced %d missing, %d spiked", m, s)
 		}
@@ -182,4 +182,19 @@ func TestWindowActive(t *testing.T) {
 			t.Fatal("empty window active")
 		}
 	}
+}
+
+// countFaults returns the number of missing and spiked readings in df.
+func countFaults(df *DayFaults) (missing, spiked int) {
+	for _, row := range df.Readings {
+		for _, v := range row {
+			switch {
+			case math.IsNaN(v):
+				missing++
+			case v != 0:
+				spiked++
+			}
+		}
+	}
+	return missing, spiked
 }

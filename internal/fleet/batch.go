@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
+	"nmdetect/internal/checkpoint"
 	"nmdetect/internal/core"
 )
 
@@ -37,7 +39,7 @@ func NewBatchReport(cfg Config, b, start int, runners []*core.Runner) (*BatchRep
 	return rep, nil
 }
 
-// WriteFile writes the batch report durably: temp file, fsync, rename —
+// WriteFile writes the batch report durably through checkpoint.WriteAtomic —
 // the same all-or-nothing contract as checkpoints, so the supervisor never
 // reads a torn report from a worker killed mid-write.
 func (r *BatchReport) WriteFile(path string) error {
@@ -45,27 +47,11 @@ func (r *BatchReport) WriteFile(path string) error {
 	if err != nil {
 		return fmt.Errorf("fleet: encode batch report: %w", err)
 	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	err = checkpoint.WriteAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("fleet: batch report: %w", err)
-	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("fleet: batch report: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("fleet: batch report: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("fleet: batch report: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("fleet: batch report: %w", err)
 	}
 	return nil

@@ -11,9 +11,8 @@ import (
 // DemandForecaster predicts the next day's community energy demand from
 // demand history — the utility-side model that feeds guideline-price
 // formation ("the utility predicts the future electricity price" from demand
-// expectations). The engine's default uses yesterday's realized load as the
-// demand basis; this SVR upgrade smooths day-to-day noise and is available
-// through community.Config.UseDemandForecast.
+// expectations). The engine prices from yesterday's realized load; no run
+// uses this model as its demand basis.
 type DemandForecaster struct {
 	opts  Options
 	model *svr.Model

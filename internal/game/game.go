@@ -35,7 +35,6 @@ import (
 	"math"
 
 	"nmdetect/internal/appliance"
-	"nmdetect/internal/battery"
 	"nmdetect/internal/ceopt"
 	"nmdetect/internal/dpsched"
 	"nmdetect/internal/household"
@@ -46,11 +45,6 @@ import (
 	"nmdetect/internal/timeseries"
 	"nmdetect/internal/watchdog"
 )
-
-// ErrDiverged re-exports the shared watchdog sentinel: a solve that returns
-// an error wrapping it left the healthy numerical region (typically because
-// of non-finite prices or PV inputs) and exhausted its retry budget.
-var ErrDiverged = watchdog.ErrDiverged
 
 // Config tunes the game solver.
 type Config struct {
@@ -737,25 +731,18 @@ func pvRow(pv [][]float64, i int, netMetering bool, zero []float64) []float64 {
 	return pv[i]
 }
 
-// projectTrajectory walks a storage trajectory and clamps each step to the
-// battery's rate limits and state bounds, making the CE solution physically
-// feasible exactly (the CE penalty only discourages violations). No-op for
-// unlimited batteries.
-func projectTrajectory(traj []float64, b battery.Battery) {
+// projectTrajectory walks a storage trajectory and clamps each state to
+// [0, capacity], making the CE solution feasible exactly. Each state is
+// rebuilt as prev + (traj[t] − prev) rather than read as traj[t]: that
+// rounding is part of the pinned equilibria.
+func projectTrajectory(traj []float64, capacity float64) {
 	for t := 1; t < len(traj); t++ {
-		delta := traj[t] - traj[t-1]
-		if b.MaxCharge > 0 && delta > b.MaxCharge {
-			delta = b.MaxCharge
-		}
-		if b.MaxDischarge > 0 && -delta > b.MaxDischarge {
-			delta = -b.MaxDischarge
-		}
-		v := traj[t-1] + delta
+		v := traj[t-1] + (traj[t] - traj[t-1])
 		if v < 0 {
 			v = 0
 		}
-		if v > b.Capacity {
-			v = b.Capacity
+		if v > capacity {
+			v = capacity
 		}
 		traj[t] = v
 	}
@@ -982,32 +969,13 @@ func bestResponse(ctx context.Context, c *household.Customer, price timeseries.S
 		if !useBattery {
 			break
 		}
-		// Rate limits (when configured) enter the CE objective as steep
-		// penalties and are enforced exactly by projection afterwards.
-		maxCharge, maxDischarge := c.Battery.MaxCharge, c.Battery.MaxDischarge
-		penaltyScale := 0.0
-		if maxCharge > 0 || maxDischarge > 0 {
-			for t := 0; t < h; t++ {
-				if p := price[t]; p > penaltyScale {
-					penaltyScale = p
-				}
-			}
-			penaltyScale = 100 * (penaltyScale + 1)
-		}
 		objective := func(x []float64) float64 {
 			// x is b[1..H]; b[0] is pinned at b0.
 			total := 0.0
 			prev := b0
 			for t := 0; t < h; t++ {
-				shift := x[t] - prev
-				v := baseLoad[t] + schedLoad[t] - pv[t] + shift
+				v := baseLoad[t] + schedLoad[t] - pv[t] + (x[t] - prev)
 				total += tradeCost(t, v)
-				if maxCharge > 0 && shift > maxCharge {
-					total += penaltyScale * (shift - maxCharge)
-				}
-				if maxDischarge > 0 && -shift > maxDischarge {
-					total += penaltyScale * (-shift - maxDischarge)
-				}
 				prev = x[t]
 			}
 			return total
@@ -1027,7 +995,7 @@ func bestResponse(ctx context.Context, c *household.Customer, price timeseries.S
 		}
 		curTraj[0] = b0
 		copy(curTraj[1:], ceRes.X)
-		projectTrajectory(curTraj, c.Battery)
+		projectTrajectory(curTraj, c.Battery.Capacity)
 	}
 
 	load = make([]float64, h)

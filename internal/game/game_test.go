@@ -331,7 +331,7 @@ func TestSolveMixedValidation(t *testing.T) {
 	}
 }
 
-func TestSolveRespectsBatteryRateLimits(t *testing.T) {
+func TestSolveRespectsBatteryCapacity(t *testing.T) {
 	base := make([]float64, 24)
 	for h := range base {
 		base[h] = 0.4
@@ -342,10 +342,8 @@ func TestSolveRespectsBatteryRateLimits(t *testing.T) {
 		Appliances: []*appliance.Appliance{
 			{Name: "washer", Levels: []float64{0.5, 1.0}, Energy: 2, Start: 8, Deadline: 16},
 		},
-		Panel: solar.Panel{CapacityKW: 4, Orientation: 1},
-		Battery: battery.Battery{
-			Capacity: 10, MaxCharge: 1.5, MaxDischarge: 2.0, Efficiency: 1,
-		},
+		Panel:   solar.Panel{CapacityKW: 4, Orientation: 1},
+		Battery: battery.New(10),
 	}
 	if err := c.Validate(24); err != nil {
 		t.Fatal(err)
@@ -360,7 +358,7 @@ func TestSolveRespectsBatteryRateLimits(t *testing.T) {
 		t.Fatal("missing trajectory")
 	}
 	if err := c.Battery.CheckTrajectory(traj); err != nil {
-		t.Fatalf("trajectory violates physical limits: %v", err)
+		t.Fatalf("trajectory leaves [0, capacity]: %v", err)
 	}
 	// Eqn 1 must still hold against the projected trajectory.
 	y, err := battery.ImpliedTrading(traj, res.CustomerLoad[0], middayPV(4))

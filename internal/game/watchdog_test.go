@@ -9,6 +9,7 @@ import (
 	"nmdetect/internal/household"
 	"nmdetect/internal/rng"
 	"nmdetect/internal/solar"
+	"nmdetect/internal/watchdog"
 )
 
 // A NaN guideline price poisons the CE battery objective: the CE watchdog
@@ -26,7 +27,7 @@ func TestSolveDivergesOnNaNPrice(t *testing.T) {
 	price[18] = math.NaN()
 	pv := [][]float64{middayPV(4), make([]float64, 24), middayPV(3)}
 	_, err := Solve(context.Background(), nil, customers, price, pv, cfg, rng.New(7))
-	if !errors.Is(err, ErrDiverged) {
+	if !errors.Is(err, watchdog.ErrDiverged) {
 		t.Fatalf("want ErrDiverged, got %v", err)
 	}
 }
@@ -52,7 +53,7 @@ func TestSolveDivergesOnNaNPV(t *testing.T) {
 	pv := middayPV(4)
 	pv[12] = math.NaN()
 	_, err := Solve(context.Background(), nil, []*household.Customer{c}, flatPrice(0.1), [][]float64{pv}, cfg, rng.New(7))
-	if !errors.Is(err, ErrDiverged) {
+	if !errors.Is(err, watchdog.ErrDiverged) {
 		t.Fatalf("want ErrDiverged, got %v", err)
 	}
 }

@@ -147,12 +147,6 @@ func TestCustomerValidateRejects(t *testing.T) {
 	if err := c.Validate(24); err == nil {
 		t.Fatal("invalid panel accepted")
 	}
-	c = valid()
-	c.Battery.Efficiency = 0 // zero value from struct literal is invalid
-	c.Battery.Capacity = 5
-	if err := c.Validate(24); err == nil {
-		t.Fatal("invalid battery accepted")
-	}
 }
 
 func TestGeneratedAppliancesStayInHorizon(t *testing.T) {

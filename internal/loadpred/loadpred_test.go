@@ -81,15 +81,15 @@ func TestPredictCaches(t *testing.T) {
 	if r1 != r2 {
 		t.Fatal("identical prices not served from cache")
 	}
-	if p.CacheSize() != 1 {
-		t.Fatalf("cache size = %d", p.CacheSize())
+	if len(p.cache) != 1 {
+		t.Fatalf("cache size = %d", len(p.cache))
 	}
 	other := price.ScaleBy(2)
 	if _, err := p.Predict(context.Background(), other); err != nil {
 		t.Fatal(err)
 	}
-	if p.CacheSize() != 2 {
-		t.Fatalf("cache size after second price = %d", p.CacheSize())
+	if len(p.cache) != 2 {
+		t.Fatalf("cache size after second price = %d", len(p.cache))
 	}
 }
 
@@ -128,9 +128,6 @@ func TestPredictLoadModes(t *testing.T) {
 			t.Fatalf("negative load of record at %d", h)
 		}
 	}
-	if !aware.NetMetering() || blind.NetMetering() {
-		t.Fatal("NetMetering mode flags wrong")
-	}
 	// The load of record is consumption in both modes…
 	awareRes, err := aware.Predict(context.Background(), price)
 	if err != nil {
@@ -142,17 +139,8 @@ func TestPredictLoadModes(t *testing.T) {
 		}
 	}
 	// …while grid demand is reduced below consumption by solar self-use.
-	grid, err := aware.PredictGridDemand(context.Background(), price)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grid.Sum() >= awareRes.Load.Sum() {
-		t.Fatalf("NM grid energy %v not below consumption %v", grid.Sum(), awareRes.Load.Sum())
-	}
-	for h, v := range grid {
-		if v < 0 {
-			t.Fatalf("negative grid demand at %d", h)
-		}
+	if grid := awareRes.GridDemand.Sum(); grid >= awareRes.Load.Sum() {
+		t.Fatalf("NM grid energy %v not below consumption %v", grid, awareRes.Load.Sum())
 	}
 }
 

@@ -132,9 +132,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
-
 // Axpy computes y += alpha*x in place.
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {

@@ -72,8 +72,8 @@ func TestDotNormAxpy(t *testing.T) {
 	if Dot(a, b) != 32 {
 		t.Fatalf("Dot = %v", Dot(a, b))
 	}
-	if !almostEq(Norm2([]float64{3, 4}), 5, 1e-12) {
-		t.Fatal("Norm2(3,4) != 5")
+	if n2 := SqDist([]float64{3, 4}, []float64{0, 0}); n2 != 25 {
+		t.Fatalf("squared norm of (3,4) = %v", n2)
 	}
 	y := []float64{1, 1, 1}
 	Axpy(2, a, y)

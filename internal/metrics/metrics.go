@@ -75,11 +75,6 @@ func checkLen(a, b []float64) error {
 	return nil
 }
 
-// PAR returns the peak-to-average ratio of load.
-func PAR(load []float64) float64 {
-	return timeseries.Series(load).PAR()
-}
-
 // Finite passes v through unchanged if it is a finite number and reports an
 // error naming the metric otherwise. It is the guard between internal
 // computations — where NaN and ±Inf are legal sentinels (a zero-mean PAR is

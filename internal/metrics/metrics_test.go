@@ -66,7 +66,7 @@ func TestMustPanicsOnError(t *testing.T) {
 }
 
 func TestPAR(t *testing.T) {
-	if got := PAR([]float64{1, 1, 1, 5}); math.Abs(got-2.5) > 1e-12 {
+	if got := Must(FinitePAR([]float64{1, 1, 1, 5})); math.Abs(got-2.5) > 1e-12 {
 		t.Fatalf("PAR = %v", got)
 	}
 }

@@ -301,13 +301,3 @@ func (s *Sink) Close() error {
 	}
 	return nil
 }
-
-// Err reports the first write error the sink has seen, without closing it.
-func (s *Sink) Err() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}

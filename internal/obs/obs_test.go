@@ -96,9 +96,6 @@ func TestNilSinkSafe(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Errorf("nil Close: %v", err)
 	}
-	if err := s.Err(); err != nil {
-		t.Errorf("nil Err: %v", err)
-	}
 }
 
 // TestNilSinkZeroAlloc enforces the "disabled is free" contract: the hot

@@ -120,9 +120,6 @@ func dedupVectors(vecs [][]float64) [][]float64 {
 // Horizon returns the number of stages the policy was solved for.
 func (p *FiniteHorizonPolicy) Horizon() int { return len(p.stages) - 1 }
 
-// NumVectors returns the size of the final stage's vector set.
-func (p *FiniteHorizonPolicy) NumVectors() int { return len(p.stages[p.Horizon()]) }
-
 // ValueAt returns the exact value of belief b with t stages to go.
 func (p *FiniteHorizonPolicy) ValueAt(b Belief, t int) float64 {
 	if t < 0 {

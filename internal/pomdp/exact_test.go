@@ -117,8 +117,8 @@ func TestFiniteHorizonAgreesWithHandComputedChain(t *testing.T) {
 			t.Errorf("V%d(%v) = %v, want %v", c.stage, c.belief, got, c.want)
 		}
 	}
-	if p.Horizon() != 2 || p.NumVectors() < 1 {
-		t.Fatalf("policy shape: horizon %d, %d vectors", p.Horizon(), p.NumVectors())
+	if p.Horizon() != 2 || len(p.stages[2]) < 1 {
+		t.Fatalf("policy shape: horizon %d, %d vectors", p.Horizon(), len(p.stages[2]))
 	}
 }
 

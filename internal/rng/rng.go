@@ -42,13 +42,9 @@ func (s *Source) next() uint64 {
 // Uint64 returns a uniformly distributed 64-bit value.
 func (s *Source) Uint64() uint64 { return s.next() }
 
-// State exposes the generator state for checkpointing. Restore(State())
+// State exposes the generator state for checkpointing. New(State())
 // reproduces the source's future stream exactly.
 func (s *Source) State() uint64 { return s.state }
-
-// Restore returns a Source whose stream continues from a state previously
-// captured with State.
-func Restore(state uint64) *Source { return &Source{state: state} }
 
 // Derive returns a new independent Source identified by label. Deriving with
 // the same label from the same parent state always yields the same stream.

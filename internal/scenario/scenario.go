@@ -210,11 +210,6 @@ type Fleet struct {
 	Communities int `json:"communities"`
 }
 
-// IsZero reports whether the block selects no fleet at all.
-func (f Fleet) IsZero() bool {
-	return f == Fleet{}
-}
-
 // Supervise carries cross-process supervision defaults for cmd/nmfleet:
 // batch size, retry budget, backoff base and worker heartbeat period.
 // Purely an execution block — supervision partitions and retries work but
@@ -229,11 +224,6 @@ type Supervise struct {
 	BackoffMS int `json:"backoff_ms,omitempty"`
 	// HeartbeatMS is the worker heartbeat period in milliseconds.
 	HeartbeatMS int `json:"heartbeat_ms,omitempty"`
-}
-
-// IsZero reports whether the block carries no supervision defaults.
-func (s Supervise) IsZero() bool {
-	return s == Supervise{}
 }
 
 // Spec is the complete declarative description of one experiment scenario.

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"strconv"
 	"sync"
 
+	"nmdetect/internal/checkpoint"
 	"nmdetect/internal/community"
 	"nmdetect/internal/core"
 	"nmdetect/internal/detect"
@@ -226,47 +228,16 @@ func (s *Session) status() Status {
 	}
 }
 
-// writeFileAtomic durably writes data to path: temp file in the same
-// directory, fsync, rename, directory fsync — the same discipline as
-// checkpoint.Save, so a session the daemon acknowledged survives a crash
-// right after the acknowledgement.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".serve-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName)
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
 // saveSessionFile persists sf into dir.
 func saveSessionFile(dir string, sf sessionFile) error {
 	data, err := json.MarshalIndent(sf, "", "  ")
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(filepath.Join(dir, sessionFileName), append(data, '\n'))
+	return checkpoint.WriteAtomic(filepath.Join(dir, sessionFileName), func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	})
 }
 
 // loadSessionFile reads and verifies a session file: the stored scenario
