@@ -28,7 +28,9 @@ panic-lint:
 	sh scripts/panic_lint.sh
 
 # Fails on an exported identifier that only _test.go files reference, unless
-# it implements an interface or is on the script's keep-list with a reason.
+# it implements an interface or is on the script's keep-list with a reason,
+# and on any unexported package-level func, type, var or const that no
+# non-test code references.
 dead-exports:
 	$(GO) run scripts/deadexports.go
 

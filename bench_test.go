@@ -656,23 +656,10 @@ func benchTrainingSet(n int) ([][]float64, []float64) {
 // linear solve).
 func BenchmarkSVRTrainLSSVM(b *testing.B) {
 	x, y := benchTrainingSet(150)
-	opts := svr.DefaultLSSVMOptions()
+	opts := forecast.DefaultOptions().LSSVM
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := svr.TrainLSSVM(x, y, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSVRTrainEpsSVR measures the SMO-trained ε-SVR alternative.
-func BenchmarkSVRTrainEpsSVR(b *testing.B) {
-	x, y := benchTrainingSet(150)
-	opts := svr.DefaultEpsSVROptions()
-	opts.MaxSweeps = 60
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := svr.TrainEpsSVR(x, y, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -52,10 +52,20 @@ import (
 	"syscall"
 	"time"
 
+	"nmdetect/internal/checkpoint"
 	"nmdetect/internal/cli"
 	"nmdetect/internal/exitcode"
 	"nmdetect/internal/obs"
 	"nmdetect/internal/serve"
+)
+
+// A client gets readHeaderTimeout to send its request headers and may hold
+// an idle keep-alive connection for idleTimeout, so a stalled or abandoned
+// connection cannot pin a server goroutine for ever. Request bodies are
+// capped by internal/serve.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() { cli.Main("nmserve", run) }
@@ -102,17 +112,21 @@ func run(ctx context.Context, args []string, _ io.Writer) error {
 	fmt.Fprintf(os.Stderr, "nmserve: %d session(s) restored from %s\n", srv.Sessions(), *stateDir)
 
 	if *addrFile != "" {
-		tmp := *addrFile + ".tmp"
-		if err := os.WriteFile(tmp, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
+		err := checkpoint.WriteAtomic(*addrFile, func(w io.Writer) error {
+			_, err := fmt.Fprintln(w, ln.Addr())
 			return err
-		}
-		if err := os.Rename(tmp, *addrFile); err != nil {
+		})
+		if err != nil {
 			return err
 		}
 	}
 	fmt.Fprintf(os.Stderr, "nmserve: listening on %s\n", ln.Addr())
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

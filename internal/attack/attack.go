@@ -644,11 +644,3 @@ func (c *Campaign) Hacked(i int) bool { return c.hacked[i] }
 
 // Count returns the number of currently hacked meters.
 func (c *Campaign) Count() int { return c.count }
-
-// PriceFor returns the guideline price meter i receives this slot.
-func (c *Campaign) PriceFor(i int, published timeseries.Series) timeseries.Series {
-	if c.hacked[i] {
-		return c.Attack.Apply(published)
-	}
-	return published.Clone()
-}

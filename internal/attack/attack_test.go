@@ -184,31 +184,6 @@ func TestCampaignZeroProbNeverHacks(t *testing.T) {
 	}
 }
 
-func TestCampaignPriceFor(t *testing.T) {
-	p := price24()
-	c, err := NewCampaign(10, 1.0, 10, 10, ZeroWindow{From: 0, To: 23})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Before hacking: everyone sees the published price.
-	for i := 0; i < 10; i++ {
-		got := c.PriceFor(i, p)
-		if got[5] != p[5] {
-			t.Fatal("intact meter received manipulated price")
-		}
-	}
-	c.Step(rng.New(8))
-	for i := 0; i < 10; i++ {
-		got := c.PriceFor(i, p)
-		if !c.Hacked(i) {
-			t.Fatal("meter not hacked after saturating step")
-		}
-		if got[5] != 0 {
-			t.Fatal("hacked meter received clean price")
-		}
-	}
-}
-
 func TestCampaignDeterministic(t *testing.T) {
 	mk := func(seed uint64) []int {
 		c, _ := NewCampaign(50, 0.5, 1, 4, None{})

@@ -73,24 +73,6 @@ func ImpliedTrading(traj, load, gen []float64) ([]float64, error) {
 	return y, nil
 }
 
-// Step advances the stored energy by one slot under Eqn 1, clamping to
-// [0, Capacity]. It returns the new state and the energy actually
-// absorbed/released (after clamping), which callers use to rebalance the
-// grid trade.
-func (b Battery) Step(state, net float64) (newState, absorbed float64) {
-	// net > 0 means surplus energy is available to charge; net < 0 means the
-	// household wants to discharge.
-	delta := net
-	if delta > 0 {
-		if state+delta > b.Capacity {
-			delta = b.Capacity - state
-		}
-	} else if state+delta < 0 {
-		delta = -state
-	}
-	return state + delta, delta
-}
-
 // FlatTrajectory returns a constant trajectory at the given state with H+1
 // points — the "no battery activity" baseline.
 func FlatTrajectory(state float64, horizon int) []float64 {

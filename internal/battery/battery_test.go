@@ -120,49 +120,6 @@ func TestImpliedTradingLengthErrors(t *testing.T) {
 	}
 }
 
-func TestStepCharging(t *testing.T) {
-	b := New(10)
-	state, absorbed := b.Step(4, 3)
-	if state != 7 || absorbed != 3 {
-		t.Fatalf("Step = %v, %v", state, absorbed)
-	}
-}
-
-func TestStepClampsToCapacity(t *testing.T) {
-	b := New(10)
-	state, absorbed := b.Step(9, 5)
-	if state != 10 || absorbed != 1 {
-		t.Fatalf("Step = %v, %v", state, absorbed)
-	}
-}
-
-func TestStepClampsToEmpty(t *testing.T) {
-	b := New(10)
-	state, absorbed := b.Step(2, -5)
-	if state != 0 || absorbed != -2 {
-		t.Fatalf("Step = %v, %v", state, absorbed)
-	}
-}
-
-func TestStepInvariantProperty(t *testing.T) {
-	// Property: state always remains within [0, Capacity].
-	s := rng.New(6)
-	f := func() bool {
-		b := New(s.Range(1, 20))
-		state := s.Range(0, b.Capacity)
-		for i := 0; i < 50; i++ {
-			state, _ = b.Step(state, s.Range(-10, 10))
-			if state < -1e-9 || state > b.Capacity+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(func() bool { return f() }, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFlatTrajectory(t *testing.T) {
 	traj := FlatTrajectory(2.5, 24)
 	if len(traj) != 25 {

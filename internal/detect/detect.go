@@ -26,7 +26,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"nmdetect/internal/loadpred"
@@ -73,51 +72,6 @@ func (d *SingleEvent) Check(ctx context.Context, predictedPrice, receivedPrice t
 		ReceivedPAR:  pr,
 		Attack:       pr-pp > d.DeltaPAR,
 	}, nil
-}
-
-// CountDeviating is the per-meter observation channel: it compares each
-// meter's realized load at slot h against the expected load and returns how
-// many meters deviate by more than tau kW. expected and realized must have
-// identical shapes.
-func CountDeviating(expected, realized [][]float64, h int, tau float64) (int, error) {
-	if len(expected) != len(realized) {
-		return 0, fmt.Errorf("detect: %d expected profiles vs %d realized", len(expected), len(realized))
-	}
-	if tau <= 0 {
-		return 0, fmt.Errorf("detect: deviation threshold %v must be positive", tau)
-	}
-	count := 0
-	for n := range expected {
-		if h < 0 || h >= len(expected[n]) || h >= len(realized[n]) {
-			return 0, fmt.Errorf("detect: slot %d out of range for meter %d", h, n)
-		}
-		if math.Abs(expected[n][h]-realized[n][h]) > tau {
-			count++
-		}
-	}
-	return count, nil
-}
-
-// DeviationScores returns each meter's whole-day relative deviation between
-// expected and realized profiles: Σₕ|e−r| / (Σₕ e + 1). Used for day-level
-// flagging and diagnostics.
-func DeviationScores(expected, realized [][]float64) ([]float64, error) {
-	if len(expected) != len(realized) {
-		return nil, fmt.Errorf("detect: %d expected profiles vs %d realized", len(expected), len(realized))
-	}
-	scores := make([]float64, len(expected))
-	for n := range expected {
-		if len(expected[n]) != len(realized[n]) {
-			return nil, fmt.Errorf("detect: meter %d profile lengths %d vs %d", n, len(expected[n]), len(realized[n]))
-		}
-		num, den := 0.0, 1.0
-		for h := range expected[n] {
-			num += math.Abs(expected[n][h] - realized[n][h])
-			den += expected[n][h]
-		}
-		scores[n] = num / den
-	}
-	return scores, nil
 }
 
 // Bucketizer maps hacked-meter counts onto the POMDP's state/observation

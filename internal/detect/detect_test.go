@@ -88,56 +88,6 @@ func TestSingleEventValidation(t *testing.T) {
 	}
 }
 
-func TestCountDeviating(t *testing.T) {
-	expected := [][]float64{{1, 1}, {2, 2}, {3, 3}}
-	realized := [][]float64{{1, 1}, {2, 3.5}, {3, 3.1}}
-	n, err := CountDeviating(expected, realized, 1, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("deviating = %d, want 1 (only meter 1 exceeds 0.5)", n)
-	}
-	n, err = CountDeviating(expected, realized, 0, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Fatalf("slot 0 deviating = %d", n)
-	}
-}
-
-func TestCountDeviatingErrors(t *testing.T) {
-	if _, err := CountDeviating([][]float64{{1}}, [][]float64{{1}, {2}}, 0, 0.5); err == nil {
-		t.Error("shape mismatch accepted")
-	}
-	if _, err := CountDeviating([][]float64{{1}}, [][]float64{{1}}, 0, 0); err == nil {
-		t.Error("zero tau accepted")
-	}
-	if _, err := CountDeviating([][]float64{{1}}, [][]float64{{1}}, 5, 0.5); err == nil {
-		t.Error("out-of-range slot accepted")
-	}
-}
-
-func TestDeviationScores(t *testing.T) {
-	expected := [][]float64{{1, 1, 1, 1}, {2, 2, 2, 2}}
-	realized := [][]float64{{1, 1, 1, 1}, {4, 0, 2, 2}}
-	scores, err := DeviationScores(expected, realized)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scores[0] != 0 {
-		t.Fatalf("identical profile scored %v", scores[0])
-	}
-	want := 4.0 / 9.0 // |2|+|−2| over Σe+1 = 9
-	if math.Abs(scores[1]-want) > 1e-12 {
-		t.Fatalf("score = %v, want %v", scores[1], want)
-	}
-	if _, err := DeviationScores([][]float64{{1}}, [][]float64{{1, 2}}); err == nil {
-		t.Error("ragged profiles accepted")
-	}
-}
-
 func TestBucketizer(t *testing.T) {
 	b, err := NewBucketizer([]int{2, 10, 30})
 	if err != nil {
@@ -351,26 +301,6 @@ func TestNewLongTermValidation(t *testing.T) {
 	otherBuckets, _ := NewBucketizer([]int{1})
 	if _, err := NewLongTerm(model, policy, otherBuckets); err == nil {
 		t.Error("mismatched bucketizer accepted")
-	}
-}
-
-func TestLongTermAccessors(t *testing.T) {
-	params := DefaultModelParams(50, 0.01, 0.05)
-	params.CalibSamples = 200
-	model, err := BuildModel(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	policy, err := pomdp.SolveQMDP(context.Background(), model, 1e-6, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewLongTerm(model, policy, params.Buckets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Policy() != policy || d.Model() != model {
-		t.Fatal("accessors return wrong objects")
 	}
 }
 

@@ -290,13 +290,6 @@ func (d *LongTerm) Step(flaggedCount int) (action, obsBucket int) {
 	return a, o
 }
 
-// Policy exposes the solved POMDP policy (e.g. for serialization via
-// pomdp.LoadPolicy/Save round trips).
-func (d *LongTerm) Policy() pomdp.Policy { return d.policy }
-
-// Model exposes the calibrated POMDP model.
-func (d *LongTerm) Model() *pomdp.Model { return d.model }
-
 // MAPBucket returns the detector's current point estimate of the hacked-count
 // bucket.
 func (d *LongTerm) MAPBucket() int { return d.belief.MAP() }

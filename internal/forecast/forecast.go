@@ -61,7 +61,7 @@ type Options struct {
 }
 
 // DefaultOptions returns the experiment configuration: two lag days and a
-// moderately regularized RBF LS-SVM.
+// ridge-regularized linear LS-SVM.
 func DefaultOptions() Options {
 	return Options{
 		LagDays: 2,

@@ -83,29 +83,3 @@ func (f Filter) Sanitize(received, predicted timeseries.Series) (timeseries.Seri
 	}
 	return out, touched, nil
 }
-
-// TamperScore summarizes how much manipulation the filter absorbed: the mean
-// relative distance of clamped slots from the band, useful as an additional
-// observation feature for the long-term detector.
-func TamperScore(received, predicted timeseries.Series, f Filter) (float64, error) {
-	sanitized, touched, err := f.Sanitize(received, predicted)
-	if err != nil {
-		return 0, err
-	}
-	if len(touched) == 0 {
-		return 0, nil
-	}
-	score := 0.0
-	for _, h := range touched {
-		base := sanitized[h]
-		if base <= 0 {
-			base = f.AbsFloor
-		}
-		d := received[h] - sanitized[h]
-		if d < 0 {
-			d = -d
-		}
-		score += d / base
-	}
-	return score / float64(len(touched)), nil
-}

@@ -126,34 +126,6 @@ func TestSanitizeErrors(t *testing.T) {
 	}
 }
 
-func TestTamperScore(t *testing.T) {
-	pred := predicted24()
-	clean, err := TamperScore(pred.Clone(), pred, DefaultFilter())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clean != 0 {
-		t.Fatalf("clean score = %v", clean)
-	}
-	attacked := attack.ZeroWindow{From: 16, To: 17}.Apply(pred)
-	score, err := TamperScore(attacked, pred, DefaultFilter())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if score <= 0 {
-		t.Fatalf("attack score = %v", score)
-	}
-	// A harsher manipulation scores higher than a mild one.
-	mild := attack.ScaleWindow{From: 16, To: 17, Factor: 0.3}.Apply(pred)
-	mildScore, err := TamperScore(mild, pred, DefaultFilter())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mildScore >= score {
-		t.Fatalf("mild score %v not below zero-attack score %v", mildScore, score)
-	}
-}
-
 func TestSanitizeDoesNotMutateInput(t *testing.T) {
 	pred := predicted24()
 	attacked := attack.ZeroWindow{From: 16, To: 17}.Apply(pred)

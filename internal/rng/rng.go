@@ -108,11 +108,6 @@ func (s *Source) TruncNormal(mean, stddev, lo, hi float64) float64 {
 	return Clamp(mean, lo, hi)
 }
 
-// LogNormal returns exp(Normal(mu, sigma)).
-func (s *Source) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(s.Normal(mu, sigma))
-}
-
 // Exponential returns an exponentially distributed value with the given rate
 // (mean 1/rate).
 func (s *Source) Exponential(rate float64) float64 {
@@ -125,19 +120,6 @@ func (s *Source) Exponential(rate float64) float64 {
 // Bernoulli returns true with probability p.
 func (s *Source) Bernoulli(p float64) bool {
 	return s.Float64() < p
-}
-
-// Perm returns a pseudo-random permutation of [0, n) (Fisher-Yates).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Shuffle pseudo-randomly permutes the order of n elements using swap.

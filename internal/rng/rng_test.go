@@ -173,23 +173,6 @@ func TestExponentialMean(t *testing.T) {
 	}
 }
 
-func TestLogNormal(t *testing.T) {
-	s := New(99)
-	const n = 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := s.LogNormal(0, 0.25)
-		if v <= 0 {
-			t.Fatalf("LogNormal returned non-positive %v", v)
-		}
-		sum += math.Log(v)
-	}
-	// log of a LogNormal(0, σ) has mean 0.
-	if mean := sum / n; math.Abs(mean) > 0.01 {
-		t.Fatalf("log-mean = %v, want ~0", mean)
-	}
-}
-
 func TestBernoulliFrequency(t *testing.T) {
 	s := New(11)
 	hits := 0
@@ -201,18 +184,6 @@ func TestBernoulliFrequency(t *testing.T) {
 	}
 	if f := float64(hits) / n; math.Abs(f-0.3) > 0.01 {
 		t.Fatalf("Bernoulli(0.3) frequency = %v", f)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	s := New(12)
-	p := s.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
 	}
 }
 

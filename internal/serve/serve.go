@@ -219,6 +219,28 @@ func writeError(w http.ResponseWriter, code int, format string, a ...any) {
 	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, a...)})
 }
 
+// maxBodyBytes caps a request body. The API reads two bodies, a scenario spec
+// and a day index, and both are a few KiB.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, refusing unknown fields and bodies
+// over maxBodyBytes. On failure it writes the error reply, 413 for an
+// oversized body and 400 otherwise, and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, "decode request: %v", err)
+		return false
+	}
+	return true
+}
+
 // createRequest is the body of POST /v1/sessions. In this reproduction the
 // community engine synthesizes the AMI feed the scenario describes, so the
 // spec is the data source; an external-feed mode would slot in here.
@@ -247,11 +269,8 @@ type createReply struct {
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req createRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Scenario == nil {
@@ -475,11 +494,8 @@ func (s *Server) handleDay(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no session %s", id)
 		return
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req dayRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Day == nil || *req.Day < 0 {

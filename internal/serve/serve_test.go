@@ -271,6 +271,12 @@ func TestHandlerErrors(t *testing.T) {
 	bad := tinySpec(t)
 	bad.N = 1 // fails Validate
 	day := func(d int) dayRequest { return dayRequest{Day: &d} }
+	// A valid create request padded past the body cap.
+	big, err := json.Marshal(createRequest{ID: "big", Scenario: &spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	padding := strings.Repeat(" ", maxBodyBytes)
 
 	cases := []struct {
 		name   string
@@ -288,11 +294,14 @@ func TestHandlerErrors(t *testing.T) {
 		{"create with dot id", "POST", "/v1/sessions", createRequest{ID: ".", Scenario: &spec}, http.StatusBadRequest},
 		{"create with dotdot id", "POST", "/v1/sessions", createRequest{ID: "..", Scenario: &spec}, http.StatusBadRequest},
 		{"duplicate create", "POST", "/v1/sessions", createRequest{ID: "tbl", Scenario: &spec}, http.StatusConflict},
+		{"oversized create body", "POST", "/v1/sessions", "{" + padding + string(big[1:]), http.StatusRequestEntityTooLarge},
+		{"oversized create made no session", "GET", "/v1/sessions/big", nil, http.StatusNotFound},
 		{"unknown session status", "GET", "/v1/sessions/ghost", nil, http.StatusNotFound},
 		{"unknown session delete", "DELETE", "/v1/sessions/ghost", nil, http.StatusNotFound},
 		{"unknown session day", "POST", "/v1/sessions/ghost/days", day(0), http.StatusNotFound},
 		{"unknown session records", "GET", "/v1/sessions/ghost/records", nil, http.StatusNotFound},
 		{"malformed day body", "POST", "/v1/sessions/tbl/days", "{not json", http.StatusBadRequest},
+		{"oversized day body", "POST", "/v1/sessions/tbl/days", `{"day": 1` + padding + "}", http.StatusRequestEntityTooLarge},
 		{"day without index", "POST", "/v1/sessions/tbl/days", map[string]any{}, http.StatusBadRequest},
 		{"negative day", "POST", "/v1/sessions/tbl/days", day(-1), http.StatusBadRequest},
 		{"duplicate day", "POST", "/v1/sessions/tbl/days", day(0), http.StatusConflict},

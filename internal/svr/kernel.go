@@ -1,19 +1,12 @@
 // Package svr implements support vector regression from scratch — the
 // guideline-price predictor of Section 4.1.
 //
-// Two trainers are provided:
-//
-//   - LSSVM: least-squares SVM (kernel ridge regression with bias), the
-//     formulation of the paper's own reference [10] (Tuomas et al., "LS-SVM
-//     functional network for time series prediction"). Training reduces to
-//     one dense linear solve, is deterministic and is the default for the
-//     forecaster.
-//   - EpsilonSVR: classical ε-insensitive SVR trained by sequential minimal
-//     optimization (SMO) on the dual, after Flake & Lawrence. Produces sparse
-//     support-vector models; used by the ablation benches.
-//
-// Both share the Kernel interface, the feature Scaler and the Model
-// prediction type.
+// The trainer is the least-squares SVM (kernel ridge regression with bias),
+// the formulation of the paper's own reference [10] (Tuomas et al., "LS-SVM
+// functional network for time series prediction"). Training reduces to one
+// dense linear solve and is deterministic. The Kernel interface, the feature
+// Scaler and the Model prediction type are what the forecaster and the
+// kernel ablations build on.
 package svr
 
 import (

@@ -15,12 +15,6 @@ type LSSVMOptions struct {
 	Kernel Kernel
 }
 
-// DefaultLSSVMOptions returns the forecaster defaults: an RBF kernel of
-// moderate width with mild regularization.
-func DefaultLSSVMOptions() LSSVMOptions {
-	return LSSVMOptions{Gamma: 50, Kernel: RBFKernel{Gamma: 0.5}}
-}
-
 // TrainLSSVM fits a least-squares SVM on raw features x with targets y.
 // The LS-SVM optimality conditions reduce to the saddle linear system
 //

@@ -3,6 +3,7 @@ package svr
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Model is a trained kernel regression model f(x) = Σᵢ coefᵢ·k(svᵢ, x) + b.
@@ -10,9 +11,9 @@ type Model struct {
 	Kernel  Kernel
 	Scaler  *Scaler
 	SV      [][]float64 // support vectors (already standardized)
-	Coef    []float64   // dual coefficients (βᵢ = αᵢ − αᵢ* for ε-SVR)
+	Coef    []float64   // dual coefficients αᵢ of the LS-SVM saddle system
 	Bias    float64
-	Trainer string // "ls-svm" or "eps-svr", for diagnostics
+	Trainer string // always "ls-svm", for diagnostics
 }
 
 // Predict evaluates the model at one raw (unscaled) feature vector.
@@ -28,27 +29,9 @@ func (m *Model) Predict(row []float64) float64 {
 	return out
 }
 
-// PredictAll evaluates the model at every row.
-func (m *Model) PredictAll(rows [][]float64) []float64 {
-	out := make([]float64, len(rows))
-	for i, r := range rows {
-		out[i] = m.Predict(r)
-	}
-	return out
-}
-
-// NumSupportVectors counts the non-zero dual coefficients.
-func (m *Model) NumSupportVectors() int {
-	n := 0
-	for _, c := range m.Coef {
-		if c != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// validateTrainingSet performs the shared input checks of both trainers.
+// validateTrainingSet performs the trainer's input checks. Non-finite
+// features or targets are rejected up front: the LS-SVM solve would otherwise
+// return a model that predicts NaN.
 func validateTrainingSet(x [][]float64, y []float64, k Kernel) error {
 	if len(x) == 0 {
 		return errors.New("svr: empty training set")
@@ -64,9 +47,19 @@ func validateTrainingSet(x [][]float64, y []float64, k Kernel) error {
 		if len(row) != d {
 			return fmt.Errorf("svr: ragged row %d (%d features, want %d)", i, len(row), d)
 		}
+		for j, v := range row {
+			if !finite(v) {
+				return fmt.Errorf("svr: non-finite feature %v at row %d, column %d", v, i, j)
+			}
+		}
+		if !finite(y[i]) {
+			return fmt.Errorf("svr: non-finite target %v at row %d", y[i], i)
+		}
 	}
 	if k == nil {
 		return errors.New("svr: nil kernel")
 	}
 	return nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

@@ -81,13 +81,22 @@ func sine1D(n int, noise float64, seed uint64) ([][]float64, []float64) {
 	return x, y
 }
 
+// predictAll evaluates m at every row.
+func predictAll(m *Model, rows [][]float64) []float64 {
+	out := make([]float64, len(rows))
+	for i, r := range rows {
+		out[i] = m.Predict(r)
+	}
+	return out
+}
+
 func TestLSSVMFitsSine(t *testing.T) {
 	x, y := sine1D(80, 0.02, 1)
-	m, err := TrainLSSVM(x, y, DefaultLSSVMOptions())
+	m, err := TrainLSSVM(x, y, LSSVMOptions{Gamma: 50, Kernel: RBFKernel{Gamma: 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred := m.PredictAll(x)
+	pred := predictAll(m, x)
 	if rmse := metrics.Must(metrics.RMSE(pred, y)); rmse > 0.08 {
 		t.Fatalf("train RMSE = %v", rmse)
 	}
@@ -129,7 +138,7 @@ func TestLSSVMRegularizationControlsFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if metrics.Must(metrics.RMSE(tight.PredictAll(x), y)) >= metrics.Must(metrics.RMSE(loose.PredictAll(x), y)) {
+	if metrics.Must(metrics.RMSE(predictAll(tight, x), y)) >= metrics.Must(metrics.RMSE(predictAll(loose, x), y)) {
 		t.Fatal("higher gamma should fit training data tighter")
 	}
 }
@@ -137,13 +146,14 @@ func TestLSSVMRegularizationControlsFit(t *testing.T) {
 func TestLSSVMErrors(t *testing.T) {
 	x := [][]float64{{1}, {2}}
 	y := []float64{1, 2}
-	if _, err := TrainLSSVM(nil, nil, DefaultLSSVMOptions()); err == nil {
+	opts := LSSVMOptions{Gamma: 100, Kernel: LinearKernel{}}
+	if _, err := TrainLSSVM(nil, nil, opts); err == nil {
 		t.Error("empty set accepted")
 	}
-	if _, err := TrainLSSVM(x, y[:1], DefaultLSSVMOptions()); err == nil {
+	if _, err := TrainLSSVM(x, y[:1], opts); err == nil {
 		t.Error("mismatched targets accepted")
 	}
-	if _, err := TrainLSSVM([][]float64{{1}, {2, 3}}, y, DefaultLSSVMOptions()); err == nil {
+	if _, err := TrainLSSVM([][]float64{{1}, {2, 3}}, y, opts); err == nil {
 		t.Error("ragged rows accepted")
 	}
 	if _, err := TrainLSSVM(x, y, LSSVMOptions{Gamma: 0, Kernel: LinearKernel{}}); err == nil {
@@ -152,160 +162,26 @@ func TestLSSVMErrors(t *testing.T) {
 	if _, err := TrainLSSVM(x, y, LSSVMOptions{Gamma: 1, Kernel: nil}); err == nil {
 		t.Error("nil kernel accepted")
 	}
-	if _, err := TrainLSSVM([][]float64{{}, {}}, y, DefaultLSSVMOptions()); err == nil {
+	if _, err := TrainLSSVM([][]float64{{}, {}}, y, opts); err == nil {
 		t.Error("zero-dimensional features accepted")
 	}
 }
 
-func TestEpsSVRFitsSine(t *testing.T) {
-	x, y := sine1D(80, 0.02, 3)
-	opts := DefaultEpsSVROptions()
-	opts.Epsilon = 0.05
-	m, err := TrainEpsSVR(x, y, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred := m.PredictAll(x)
-	// ε-SVR should fit within roughly the tube width.
-	if rmse := metrics.Must(metrics.RMSE(pred, y)); rmse > 0.12 {
-		t.Fatalf("train RMSE = %v", rmse)
-	}
-	if m.Trainer != "eps-svr" {
-		t.Fatalf("trainer = %q", m.Trainer)
+// A NaN target or an Inf feature from corrupted history must be rejected
+// before the solve rather than silently returning a model that predicts NaN.
+func TestTrainLSSVMRejectsNaNTarget(t *testing.T) {
+	x := [][]float64{{0}, {1}, {2}, {3}, {4}}
+	y := []float64{0, 1, math.NaN(), 3, 4}
+	if _, err := TrainLSSVM(x, y, LSSVMOptions{Gamma: 100, Kernel: LinearKernel{}}); err == nil {
+		t.Fatal("NaN target accepted")
 	}
 }
 
-func TestEpsSVRSparsity(t *testing.T) {
-	// With a wide tube, most points sit inside it and get zero coefficients.
-	x, y := sine1D(60, 0.0, 4)
-	opts := DefaultEpsSVROptions()
-	opts.Epsilon = 0.5
-	m, err := TrainEpsSVR(x, y, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nsv := m.NumSupportVectors(); nsv >= len(x) {
-		t.Fatalf("no sparsity: %d support vectors of %d points", nsv, len(x))
-	}
-	// Tube-width accuracy must still hold.
-	pred := m.PredictAll(x)
-	for i := range y {
-		if math.Abs(pred[i]-y[i]) > 0.6 {
-			t.Fatalf("point %d error %v beyond tube", i, math.Abs(pred[i]-y[i]))
-		}
-	}
-}
-
-func TestEpsSVRConstraintInvariants(t *testing.T) {
-	x, y := sine1D(50, 0.05, 5)
-	opts := DefaultEpsSVROptions()
-	m, err := TrainEpsSVR(x, y, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0.0
-	for _, b := range m.Coef {
-		if math.Abs(b) > opts.C+1e-9 {
-			t.Fatalf("coefficient %v exceeds box C=%v", b, opts.C)
-		}
-		sum += b
-	}
-	if math.Abs(sum) > 1e-6 {
-		t.Fatalf("Σβ = %v, want 0", sum)
-	}
-}
-
-func TestEpsSVRErrors(t *testing.T) {
-	x := [][]float64{{1}, {2}}
-	y := []float64{1, 2}
-	bad := func(mod func(*EpsSVROptions)) EpsSVROptions {
-		o := DefaultEpsSVROptions()
-		mod(&o)
-		return o
-	}
-	if _, err := TrainEpsSVR(x, y, bad(func(o *EpsSVROptions) { o.C = 0 })); err == nil {
-		t.Error("C=0 accepted")
-	}
-	if _, err := TrainEpsSVR(x, y, bad(func(o *EpsSVROptions) { o.Epsilon = -1 })); err == nil {
-		t.Error("negative epsilon accepted")
-	}
-	if _, err := TrainEpsSVR(x, y, bad(func(o *EpsSVROptions) { o.MaxSweeps = 0 })); err == nil {
-		t.Error("zero sweeps accepted")
-	}
-	if _, err := TrainEpsSVR(x, y, bad(func(o *EpsSVROptions) { o.Tol = 0 })); err == nil {
-		t.Error("zero tolerance accepted")
-	}
-	if _, err := TrainEpsSVR(x, y, bad(func(o *EpsSVROptions) { o.Kernel = nil })); err == nil {
-		t.Error("nil kernel accepted")
-	}
-}
-
-func TestEpsSVRKKTConditions(t *testing.T) {
-	// Verify the SMO solution satisfies the ε-SVR optimality conditions:
-	// residual r = f(x) − y must obey
-	//   β = 0        →  |r| ≤ ε (+tol)
-	//   0 < β < C    →  r ≈ −ε
-	//   β = C        →  r ≤ −ε (+tol)
-	//   −C < β < 0   →  r ≈ +ε
-	//   β = −C       →  r ≥ +ε (−tol)
-	x, y := sine1D(60, 0.05, 8)
-	opts := DefaultEpsSVROptions()
-	opts.Epsilon = 0.08
-	opts.MaxSweeps = 400
-	m, err := TrainEpsSVR(x, y, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const tol = 0.02
-	violations := 0
-	for i := range x {
-		r := m.Predict(x[i]) - y[i]
-		beta := m.Coef[i]
-		switch {
-		case beta == 0:
-			if math.Abs(r) > opts.Epsilon+tol {
-				violations++
-			}
-		case beta >= opts.C-1e-9:
-			if r > -opts.Epsilon+tol {
-				violations++
-			}
-		case beta > 0:
-			if math.Abs(r+opts.Epsilon) > tol {
-				violations++
-			}
-		case beta <= -opts.C+1e-9:
-			if r < opts.Epsilon-tol {
-				violations++
-			}
-		default: // −C < β < 0
-			if math.Abs(r-opts.Epsilon) > tol {
-				violations++
-			}
-		}
-	}
-	// A small number of boundary points may sit just outside tolerance due
-	// to the shared bias estimate; wholesale violations mean SMO failed.
-	if violations > len(x)/10 {
-		t.Fatalf("%d of %d KKT violations", violations, len(x))
-	}
-}
-
-func TestTrainersAgreeOnSmoothTarget(t *testing.T) {
-	// Both trainers should produce comparable predictions on clean data.
-	x, y := sine1D(60, 0.0, 6)
-	ls, err := TrainLSSVM(x, y, DefaultLSSVMOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	es, err := TrainEpsSVR(x, y, DefaultEpsSVROptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lsPred := ls.PredictAll(x)
-	esPred := es.PredictAll(x)
-	if d := metrics.Must(metrics.RMSE(lsPred, esPred)); d > 0.15 {
-		t.Fatalf("trainer disagreement RMSE = %v", d)
+func TestTrainLSSVMRejectsInfFeature(t *testing.T) {
+	x := [][]float64{{0}, {1}, {math.Inf(1)}, {3}, {4}}
+	y := []float64{0, 1, 2, 3, 4}
+	if _, err := TrainLSSVM(x, y, LSSVMOptions{Gamma: 100, Kernel: LinearKernel{}}); err == nil {
+		t.Fatal("Inf feature accepted")
 	}
 }
 
@@ -327,12 +203,5 @@ func TestModelMultivariate(t *testing.T) {
 	got := m.Predict([]float64{2, 3})
 	if math.Abs(got-8) > 0.3 {
 		t.Fatalf("f(2,3) = %v, want ~8", got)
-	}
-}
-
-func TestNumSupportVectors(t *testing.T) {
-	m := &Model{Coef: []float64{0, 1, 0, -2}}
-	if m.NumSupportVectors() != 2 {
-		t.Fatalf("NumSupportVectors = %d", m.NumSupportVectors())
 	}
 }

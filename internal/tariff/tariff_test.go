@@ -18,17 +18,6 @@ func TestNewQuadratic(t *testing.T) {
 	}
 }
 
-func TestCommunityCost(t *testing.T) {
-	q, _ := NewQuadratic(2)
-	if got := q.CommunityCost(0.1, 10); math.Abs(got-10) > 1e-12 {
-		t.Fatalf("CommunityCost = %v", got)
-	}
-	// Quadratic: doubling demand quadruples cost.
-	if got := q.CommunityCost(0.1, 20); math.Abs(got-40) > 1e-12 {
-		t.Fatalf("CommunityCost = %v", got)
-	}
-}
-
 func TestCustomerCostBuyer(t *testing.T) {
 	q, _ := NewQuadratic(2)
 	// Buyer pays marginal price p·Σy per unit.
@@ -92,28 +81,6 @@ func TestBuyerSellerAsymmetryProperty(t *testing.T) {
 	}
 	if err := quick.Check(func() bool { return f() }, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestScheduleCost(t *testing.T) {
-	q, _ := NewQuadratic(2)
-	price := []float64{0.1, 0.2}
-	total := []float64{10, 10}
-	mine := []float64{1, -1}
-	got, err := q.ScheduleCost(price, total, mine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0.1*10*1 + 0.2/2*10*(-1)
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("ScheduleCost = %v, want %v", got, want)
-	}
-}
-
-func TestScheduleCostMismatchErrors(t *testing.T) {
-	q, _ := NewQuadratic(2)
-	if _, err := q.ScheduleCost([]float64{1}, []float64{1, 2}, []float64{1}); err == nil {
-		t.Fatal("mismatch did not error")
 	}
 }
 

@@ -2,9 +2,9 @@
 // shared by the forecaster, the detectors and the experiment harness.
 //
 // A Series is a plain []float64 indexed by time slot (the paper divides each
-// day into H = 24 slots). The helpers here build lag-embedding matrices for
-// SVR training, compute rolling statistics, and normalize series — all of the
-// plumbing between the raw simulation traces and the learning components.
+// day into H = 24 slots). The helpers here are the summary statistics (sum,
+// mean, extremes, PAR) and the copy, slice and scale operations the rest of
+// the pipeline applies to traces.
 package timeseries
 
 import (
@@ -67,44 +67,6 @@ func (s Series) Min() (float64, int) {
 	return best, idx
 }
 
-// Std returns the population standard deviation.
-func (s Series) Std() float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	m := s.Mean()
-	acc := 0.0
-	for _, v := range s {
-		d := v - m
-		acc += d * d
-	}
-	return math.Sqrt(acc / float64(len(s)))
-}
-
-// Add returns the element-wise sum of s and t.
-func (s Series) Add(t Series) Series {
-	if len(s) != len(t) {
-		panic(fmt.Sprintf("timeseries: Add length mismatch %d != %d", len(s), len(t)))
-	}
-	out := make(Series, len(s))
-	for i := range s {
-		out[i] = s[i] + t[i]
-	}
-	return out
-}
-
-// Sub returns the element-wise difference s - t.
-func (s Series) Sub(t Series) Series {
-	if len(s) != len(t) {
-		panic(fmt.Sprintf("timeseries: Sub length mismatch %d != %d", len(s), len(t)))
-	}
-	out := make(Series, len(s))
-	for i := range s {
-		out[i] = s[i] - t[i]
-	}
-	return out
-}
-
 // ScaleBy returns s with every element multiplied by alpha.
 func (s Series) ScaleBy(alpha float64) Series {
 	out := make(Series, len(s))
@@ -135,139 +97,4 @@ func (s Series) PAR() float64 {
 		return math.Inf(1)
 	}
 	return peak / mean
-}
-
-// Rolling returns a series of the same length where element i is the mean of
-// the window s[max(0,i-window+1) .. i].
-func (s Series) Rolling(window int) Series {
-	if window <= 0 {
-		panic("timeseries: Rolling with non-positive window")
-	}
-	out := make(Series, len(s))
-	sum := 0.0
-	for i := range s {
-		sum += s[i]
-		if i >= window {
-			sum -= s[i-window]
-		}
-		n := i + 1
-		if n > window {
-			n = window
-		}
-		out[i] = sum / float64(n)
-	}
-	return out
-}
-
-// Diff returns the first difference series (length len(s)-1).
-func (s Series) Diff() Series {
-	if len(s) < 2 {
-		return Series{}
-	}
-	out := make(Series, len(s)-1)
-	for i := 1; i < len(s); i++ {
-		out[i-1] = s[i] - s[i-1]
-	}
-	return out
-}
-
-// Normalization rescales a series into [0, 1] and back.
-type Normalization struct {
-	Min, Max float64
-}
-
-// FitNormalization computes the min-max range of s. A constant series maps
-// everything to 0.5.
-func FitNormalization(s Series) Normalization {
-	mn, _ := s.Min()
-	mx, _ := s.Max()
-	return Normalization{Min: mn, Max: mx}
-}
-
-// Apply maps v into [0, 1] under the fitted range.
-func (n Normalization) Apply(v float64) float64 {
-	if n.Max == n.Min {
-		return 0.5
-	}
-	return (v - n.Min) / (n.Max - n.Min)
-}
-
-// Invert maps a normalized value back to the original scale.
-func (n Normalization) Invert(v float64) float64 {
-	if n.Max == n.Min {
-		return n.Min
-	}
-	return n.Min + v*(n.Max-n.Min)
-}
-
-// ApplySeries normalizes an entire series.
-func (n Normalization) ApplySeries(s Series) Series {
-	out := make(Series, len(s))
-	for i, v := range s {
-		out[i] = n.Apply(v)
-	}
-	return out
-}
-
-// LagEmbed builds the supervised-learning view of a series for one-step-ahead
-// forecasting: row t is [s[t-lags], ..., s[t-1]] with target s[t]. It returns
-// the feature rows and targets; len(rows) == len(s) - lags.
-func LagEmbed(s Series, lags int) ([][]float64, []float64) {
-	if lags <= 0 {
-		panic("timeseries: LagEmbed with non-positive lags")
-	}
-	if len(s) <= lags {
-		return nil, nil
-	}
-	n := len(s) - lags
-	rows := make([][]float64, n)
-	targets := make([]float64, n)
-	for t := 0; t < n; t++ {
-		row := make([]float64, lags)
-		copy(row, s[t:t+lags])
-		rows[t] = row
-		targets[t] = s[t+lags]
-	}
-	return rows, targets
-}
-
-// MultiLagEmbed builds feature rows combining lags from several aligned
-// series (e.g. price, renewable generation and demand for the paper's
-// G(p, V, D) model). Row t concatenates, for each input series, that series'
-// lags values ending at t-1; the target is target[t]. All series must share
-// the target's length.
-func MultiLagEmbed(inputs []Series, target Series, lags int) ([][]float64, []float64) {
-	if lags <= 0 {
-		panic("timeseries: MultiLagEmbed with non-positive lags")
-	}
-	for i, in := range inputs {
-		if len(in) != len(target) {
-			panic(fmt.Sprintf("timeseries: MultiLagEmbed input %d length %d != target %d", i, len(in), len(target)))
-		}
-	}
-	if len(target) <= lags {
-		return nil, nil
-	}
-	n := len(target) - lags
-	rows := make([][]float64, n)
-	targets := make([]float64, n)
-	for t := 0; t < n; t++ {
-		row := make([]float64, 0, lags*len(inputs))
-		for _, in := range inputs {
-			row = append(row, in[t:t+lags]...)
-		}
-		rows[t] = row
-		targets[t] = target[t+lags]
-	}
-	return rows, targets
-}
-
-// Repeat tiles the series n times (used to extend a 24-slot day profile over
-// a multi-day horizon).
-func Repeat(s Series, n int) Series {
-	out := make(Series, 0, len(s)*n)
-	for i := 0; i < n; i++ {
-		out = append(out, s...)
-	}
-	return out
 }

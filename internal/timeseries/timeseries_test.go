@@ -24,7 +24,7 @@ func TestBasicStats(t *testing.T) {
 
 func TestEmptySeries(t *testing.T) {
 	var s Series
-	if s.Mean() != 0 || s.Sum() != 0 || s.Std() != 0 {
+	if s.Mean() != 0 || s.Sum() != 0 {
 		t.Fatal("empty series stats not zero")
 	}
 	defer func() {
@@ -35,34 +35,11 @@ func TestEmptySeries(t *testing.T) {
 	s.Max()
 }
 
-func TestStd(t *testing.T) {
-	s := Series{2, 4, 4, 4, 5, 5, 7, 9}
-	if math.Abs(s.Std()-2.0) > 1e-12 {
-		t.Fatalf("Std = %v, want 2", s.Std())
-	}
-}
-
 func TestAddSubScale(t *testing.T) {
 	a := Series{1, 2}
-	b := Series{3, 5}
-	if c := a.Add(b); c[0] != 4 || c[1] != 7 {
-		t.Fatalf("Add = %v", c)
-	}
-	if c := b.Sub(a); c[0] != 2 || c[1] != 3 {
-		t.Fatalf("Sub = %v", c)
-	}
 	if c := a.ScaleBy(10); c[0] != 10 || c[1] != 20 {
 		t.Fatalf("ScaleBy = %v", c)
 	}
-}
-
-func TestAddLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	Series{1}.Add(Series{1, 2})
 }
 
 func TestCloneIndependence(t *testing.T) {
@@ -118,138 +95,6 @@ func TestPARAtLeastOneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRolling(t *testing.T) {
-	s := Series{1, 2, 3, 4, 5}
-	r := s.Rolling(2)
-	want := Series{1, 1.5, 2.5, 3.5, 4.5}
-	for i := range want {
-		if math.Abs(r[i]-want[i]) > 1e-12 {
-			t.Fatalf("Rolling[%d] = %v, want %v", i, r[i], want[i])
-		}
-	}
-}
-
-func TestRollingWindowOne(t *testing.T) {
-	s := Series{3, 1, 4}
-	r := s.Rolling(1)
-	for i := range s {
-		if r[i] != s[i] {
-			t.Fatal("Rolling(1) should equal the series")
-		}
-	}
-}
-
-func TestDiff(t *testing.T) {
-	s := Series{1, 4, 9, 16}
-	d := s.Diff()
-	want := Series{3, 5, 7}
-	if len(d) != 3 {
-		t.Fatalf("Diff length = %d", len(d))
-	}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Fatalf("Diff = %v", d)
-		}
-	}
-	if len((Series{1}).Diff()) != 0 {
-		t.Fatal("Diff of singleton should be empty")
-	}
-}
-
-func TestNormalizationRoundTrip(t *testing.T) {
-	s := Series{10, 20, 30}
-	n := FitNormalization(s)
-	for _, v := range s {
-		if got := n.Invert(n.Apply(v)); math.Abs(got-v) > 1e-12 {
-			t.Fatalf("round trip %v -> %v", v, got)
-		}
-	}
-	if n.Apply(10) != 0 || n.Apply(30) != 1 {
-		t.Fatal("normalization endpoints wrong")
-	}
-}
-
-func TestNormalizationConstantSeries(t *testing.T) {
-	n := FitNormalization(Series{5, 5, 5})
-	if n.Apply(5) != 0.5 {
-		t.Fatalf("constant series Apply = %v", n.Apply(5))
-	}
-	if n.Invert(0.7) != 5 {
-		t.Fatalf("constant series Invert = %v", n.Invert(0.7))
-	}
-}
-
-func TestLagEmbed(t *testing.T) {
-	s := Series{1, 2, 3, 4, 5}
-	rows, targets := LagEmbed(s, 2)
-	if len(rows) != 3 || len(targets) != 3 {
-		t.Fatalf("lengths = %d, %d", len(rows), len(targets))
-	}
-	if rows[0][0] != 1 || rows[0][1] != 2 || targets[0] != 3 {
-		t.Fatalf("row 0 = %v -> %v", rows[0], targets[0])
-	}
-	if rows[2][0] != 3 || rows[2][1] != 4 || targets[2] != 5 {
-		t.Fatalf("row 2 = %v -> %v", rows[2], targets[2])
-	}
-}
-
-func TestLagEmbedTooShort(t *testing.T) {
-	rows, targets := LagEmbed(Series{1, 2}, 5)
-	if rows != nil || targets != nil {
-		t.Fatal("short series should return nil")
-	}
-}
-
-func TestLagEmbedRowsAreCopies(t *testing.T) {
-	s := Series{1, 2, 3, 4}
-	rows, _ := LagEmbed(s, 2)
-	rows[0][0] = 99
-	if s[0] != 1 {
-		t.Fatal("LagEmbed rows alias the series")
-	}
-}
-
-func TestMultiLagEmbed(t *testing.T) {
-	p := Series{1, 2, 3, 4}
-	v := Series{10, 20, 30, 40}
-	rows, targets := MultiLagEmbed([]Series{p, v}, p, 2)
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	// Row 0: p lags [1,2], v lags [10,20], target p[2]=3.
-	want := []float64{1, 2, 10, 20}
-	for i := range want {
-		if rows[0][i] != want[i] {
-			t.Fatalf("row 0 = %v", rows[0])
-		}
-	}
-	if targets[0] != 3 {
-		t.Fatalf("target 0 = %v", targets[0])
-	}
-}
-
-func TestMultiLagEmbedLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched inputs did not panic")
-		}
-	}()
-	MultiLagEmbed([]Series{{1, 2}}, Series{1, 2, 3}, 1)
-}
-
-func TestRepeat(t *testing.T) {
-	s := Series{1, 2}
-	r := Repeat(s, 3)
-	if len(r) != 6 {
-		t.Fatalf("Repeat length = %d", len(r))
-	}
-	for i, want := range []float64{1, 2, 1, 2, 1, 2} {
-		if r[i] != want {
-			t.Fatalf("Repeat = %v", r)
-		}
 	}
 }
 

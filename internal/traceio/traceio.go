@@ -18,7 +18,6 @@ import (
 	"strconv"
 
 	"nmdetect/internal/tariff"
-	"nmdetect/internal/timeseries"
 )
 
 // Row is one slot of a community trace.
@@ -154,29 +153,6 @@ func ReadHistory(r io.Reader) (tariff.History, error) {
 		return tariff.History{}, err
 	}
 	return h, nil
-}
-
-// TraceSeries extracts one column of a trace as a time series, ordered as
-// stored.
-func TraceSeries(rows []Row, column string) (timeseries.Series, error) {
-	out := make(timeseries.Series, len(rows))
-	for i, r := range rows {
-		switch column {
-		case "price":
-			out[i] = r.Price
-		case "renewable":
-			out[i] = r.Renewable
-		case "load":
-			out[i] = r.Load
-		case "grid_demand":
-			out[i] = r.GridDemand
-		case "hacked":
-			out[i] = float64(r.Hacked)
-		default:
-			return nil, fmt.Errorf("traceio: unknown column %q", column)
-		}
-	}
-	return out, nil
 }
 
 func checkHeader(got, want []string) error {

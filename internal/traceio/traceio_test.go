@@ -107,32 +107,6 @@ func TestReadHistoryRejects(t *testing.T) {
 	}
 }
 
-func TestTraceSeries(t *testing.T) {
-	rows := sampleRows()
-	price, err := TraceSeries(rows, "price")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(price) != 3 || price[0] != 0.06 {
-		t.Fatalf("price = %v", price)
-	}
-	hacked, err := TraceSeries(rows, "hacked")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hacked[2] != 12 {
-		t.Fatalf("hacked = %v", hacked)
-	}
-	for _, col := range []string{"renewable", "load", "grid_demand"} {
-		if _, err := TraceSeries(rows, col); err != nil {
-			t.Fatalf("%s: %v", col, err)
-		}
-	}
-	if _, err := TraceSeries(rows, "nope"); err == nil {
-		t.Fatal("unknown column accepted")
-	}
-}
-
 func TestFloatPrecisionSurvives(t *testing.T) {
 	// Shortest-representation formatting: arbitrary values round-trip.
 	rows := []Row{{Price: 0.123456, Load: 99.000001}}

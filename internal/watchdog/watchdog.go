@@ -1,6 +1,6 @@
 // Package watchdog provides the numerical-health checks shared by the
-// iterative kernels (game best-response sweeps, cross-entropy iterations,
-// SVR SMO sweeps).
+// iterative kernels (game best-response sweeps and cross-entropy
+// iterations).
 //
 // The contract (DESIGN.md "Watchdog & retry contract"): a kernel checks its
 // iterates for finiteness at every sweep/iteration boundary and tracks its

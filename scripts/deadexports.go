@@ -1,18 +1,21 @@
 //go:build ignore
 
-// Command deadexports fails when an exported identifier declared in non-test
-// code is referenced only from _test.go files. Such an identifier is an entry
-// point no command, example or benchmark reaches: it should be deleted with the
-// tests that check only it, or, when a test needs it as a reference or hook,
-// named on the keep-list below with a one-line reason.
+// Command deadexports fails when a package-level declaration in non-test code
+// is referenced only from _test.go files, or not at all. For an exported
+// identifier that is an entry point no command, example or benchmark reaches:
+// it should be deleted with the tests that check only it, or, when a test needs
+// it as a reference or hook, named on the keep-list below with a one-line
+// reason. For an unexported func, type, var or const it is a stranded helper
+// (the compiler does not flag unused package-level functions): delete it.
 //
 // It parses every package of the module and of the perfbench/ module (whose
 // files count as callers; its own declarations are not audited), type-checks
-// them once with their tests, and records for each exported package-level
-// declaration and method whether any non-test file outside the declaration
-// itself refers to it. Methods that implement an interface seen anywhere in
-// the checked code or its imports are exempt: they are reached by dynamic
-// dispatch. Struct fields are not audited.
+// them once with their tests, and records for each package-level func, type,
+// var and const, and each exported method, whether any non-test file outside
+// the declaration itself refers to it. main, init, Fuzz* and _ are exempt.
+// Methods that implement an interface seen anywhere in the checked code or its
+// imports are exempt: they are reached by dynamic dispatch. Unexported methods
+// and struct fields are not audited.
 //
 // Run from the repository root with: go run scripts/deadexports.go
 package main
@@ -35,7 +38,9 @@ import (
 // keep names the test-only identifiers that stay, keyed by
 // "<import path>.<Name>" or "<import path>.<Type>.<Method>", with the reason.
 // An entry whose identifier gains a non-test caller or disappears fails the
-// audit too, so the list only ever shrinks to what is still needed.
+// audit too, so the list only ever shrinks to what is still needed. Every
+// entry is exported: an unexported helper only tests use belongs in a
+// _test.go file.
 var keep = map[string]string{
 	// References that tests compare production paths against.
 	"nmdetect/internal/appliance.Appliance.CheckSchedule": "feasibility oracle for DP appliance schedules",
@@ -45,9 +50,7 @@ var keep = map[string]string{
 	"nmdetect/internal/ceopt.Minimize":                    "reference CE minimiser the workspace solver is tested against",
 	"nmdetect/internal/dpsched.Schedule":                  "reference DP the workspace scheduler is tested against",
 	"nmdetect/internal/dpsched.ScheduleAll":               "reference DP the workspace scheduler is tested against",
-	"nmdetect/internal/mat.Matrix.MulVec":                 "forms b = A·x for the solver round-trip tests",
-	"nmdetect/internal/mat.Matrix.Mul":                    "builds the SPD systems of the Cholesky tests",
-	"nmdetect/internal/mat.Matrix.T":                      "builds the SPD systems of the Cholesky tests",
+	"nmdetect/internal/mat.Matrix.MulVec":                 "forms b = A·x for the LU solve round-trip test",
 	"nmdetect/internal/meterstate.Columns.SumCol":         "pins the bitwise slot-sum order of the column layout",
 	"nmdetect/internal/pomdp.Simulate":                    "rollout the PBVI-versus-naive policy test scores with",
 	"nmdetect/internal/pomdp.SolveFiniteHorizon":          "exact finite-horizon solver the PBVI/QMDP bounds are tested against",
@@ -63,7 +66,7 @@ var keep = map[string]string{
 	"nmdetect/internal/cli/clitest.Cancelled":     "helper the cmd/* tests share (a non-test file so several packages import it)",
 	"nmdetect/internal/cli/clitest.Flags":         "helper the cmd/* tests share (a non-test file so several packages import it)",
 	"nmdetect/internal/faultinject.DefaultConfig": "the fault mix the fault, checkpoint and sweep tests run under",
-	"nmdetect/internal/mat.FromRows":              "literal matrices for the LU and transpose tests",
+	"nmdetect/internal/mat.FromRows":              "literal matrices for the LU singular and pivoting tests",
 	"nmdetect/internal/meterstate.Columns.At":     "element access the layout tests check the transpose with",
 	"nmdetect/internal/meterstate.Columns.H":      "shape access the layout tests check",
 	"nmdetect/internal/meterstate.Columns.N":      "shape access the layout tests check",
@@ -79,60 +82,7 @@ var keep = map[string]string{
 	"nmdetect/internal/experiments.FaultSweep": "fault sweep planned for the paper-claims gate",
 	"nmdetect/internal/experiments.Robustness": "robustness sweep planned for the paper-claims gate",
 	"nmdetect/internal/game.EquilibriumGap":    "solver-quality measure planned as a sampled obs stat",
-
-	// Scheduled for deletion with the tests that check only them (ROADMAP
-	// item 5(e)): no run reaches these.
-	"nmdetect/internal/attack.Campaign.PriceFor":             scheduled,
-	"nmdetect/internal/battery.Battery.Step":                 scheduled,
-	"nmdetect/internal/detect.CountDeviating":                scheduled,
-	"nmdetect/internal/detect.DeviationScores":               scheduled,
-	"nmdetect/internal/detect.LongTerm.Model":                scheduled,
-	"nmdetect/internal/detect.LongTerm.Policy":               scheduled,
-	"nmdetect/internal/forecast.DemandForecaster.PredictDay": scheduled,
-	"nmdetect/internal/forecast.TrainDemandForecaster":       scheduled,
-	"nmdetect/internal/mat.Add":                              scheduled,
-	"nmdetect/internal/mat.Axpy":                             scheduled,
-	"nmdetect/internal/mat.LU.Det":                           scheduled,
-	"nmdetect/internal/mat.Scale":                            scheduled,
-	"nmdetect/internal/mat.SolveSPD":                         scheduled,
-	"nmdetect/internal/mat.Sub":                              scheduled,
-	"nmdetect/internal/mat.SymEigen":                         scheduled,
-	"nmdetect/internal/metrics.BootstrapCI":                  scheduled,
-	"nmdetect/internal/metrics.Confusion":                    scheduled,
-	"nmdetect/internal/metrics.Confusion.F1":                 scheduled,
-	"nmdetect/internal/metrics.Confusion.FalsePositiveRate":  scheduled,
-	"nmdetect/internal/metrics.Confusion.Observe":            scheduled,
-	"nmdetect/internal/metrics.MAE":                          scheduled,
-	"nmdetect/internal/metrics.MAPE":                         scheduled,
-	"nmdetect/internal/metrics.RelChange":                    scheduled,
-	"nmdetect/internal/mitigate.TamperScore":                 scheduled,
-	"nmdetect/internal/rng.Source.LogNormal":                 scheduled,
-	"nmdetect/internal/rng.Source.Perm":                      scheduled,
-	"nmdetect/internal/svr.DefaultEpsSVROptions":             scheduled,
-	"nmdetect/internal/svr.DefaultLSSVMOptions":              scheduled,
-	"nmdetect/internal/svr.ErrDiverged":                      scheduled,
-	"nmdetect/internal/svr.Load":                             scheduled,
-	"nmdetect/internal/svr.Model.NumSupportVectors":          scheduled,
-	"nmdetect/internal/svr.Model.PredictAll":                 scheduled,
-	"nmdetect/internal/svr.Model.Save":                       scheduled,
-	"nmdetect/internal/svr.TrainEpsSVR":                      scheduled,
-	"nmdetect/internal/tariff.Quadratic.CommunityCost":       scheduled,
-	"nmdetect/internal/tariff.Quadratic.ScheduleCost":        scheduled,
-	"nmdetect/internal/timeseries.FitNormalization":          scheduled,
-	"nmdetect/internal/timeseries.LagEmbed":                  scheduled,
-	"nmdetect/internal/timeseries.MultiLagEmbed":             scheduled,
-	"nmdetect/internal/timeseries.Normalization.ApplySeries": scheduled,
-	"nmdetect/internal/timeseries.Normalization.Invert":      scheduled,
-	"nmdetect/internal/timeseries.Repeat":                    scheduled,
-	"nmdetect/internal/timeseries.Series.Add":                scheduled,
-	"nmdetect/internal/timeseries.Series.Diff":               scheduled,
-	"nmdetect/internal/timeseries.Series.Rolling":            scheduled,
-	"nmdetect/internal/timeseries.Series.Std":                scheduled,
-	"nmdetect/internal/timeseries.Series.Sub":                scheduled,
-	"nmdetect/internal/traceio.TraceSeries":                  scheduled,
 }
-
-const scheduled = "no run reaches it; scheduled for deletion with its tests"
 
 // module is the repository's import path. The benchmark module in benchDir
 // is nmdetect/perfbench, so its packages map onto the same paths.
@@ -381,7 +331,7 @@ func (a *audit) testOnly() []finding {
 					}
 					recv := fn.Type().(*types.Signature).Recv()
 					if recv == nil {
-						if d.Name.IsExported() && d.Name.Name != "main" {
+						if audited(d.Name.Name) {
 							decls[fn] = &decl{key: p.path + "." + fn.Name(), spans: [][2]token.Pos{span}}
 						}
 						continue
@@ -403,12 +353,16 @@ func (a *audit) testOnly() []finding {
 						case *ast.ValueSpec:
 							names = s.Names
 						}
+						// A spec, not its whole group, is the extent: a
+						// constant that only a sibling in the same const
+						// block uses is still used.
+						spec := [2]token.Pos{s.Pos(), s.End()}
 						for _, id := range names {
 							obj := a.info.Defs[id]
-							if obj == nil || !id.IsExported() {
+							if obj == nil || !audited(id.Name) {
 								continue
 							}
-							decls[obj] = &decl{key: p.path + "." + id.Name, spans: [][2]token.Pos{span}}
+							decls[obj] = &decl{key: p.path + "." + id.Name, spans: [][2]token.Pos{spec}}
 						}
 					}
 				}
@@ -436,6 +390,13 @@ func (a *audit) testOnly() []finding {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	return out
+}
+
+// audited reports whether a package-level func, type, var or const is
+// audited: all are, exported or not, except the blank identifier and the
+// names the toolchain calls (main, init and fuzz targets).
+func audited(name string) bool {
+	return name != "_" && name != "main" && name != "init" && !strings.HasPrefix(name, "Fuzz")
 }
 
 func (d *decl) within(pos token.Pos) bool {
